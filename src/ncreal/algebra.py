@@ -9,9 +9,9 @@ zero-dimensional.
 
 import numpy as np
 
-from .core import CentrePoint, SingularMatrixError, invert_checked, matrix_units
+from .core import SingularMatrixError, invert_checked, matrix_units
 from .linmap import MatrixLinearMap
-from .realization import DescriptorRealization, FMRealization
+from .realization import DescriptorRealization, FMRealization, check_same_centre
 
 __all__ = [
     "fm_add",
@@ -25,17 +25,9 @@ __all__ = [
 ]
 
 
-def _check_same_centre(r, s):
-    if r.n != s.n or r.d != s.d:
-        raise ValueError("realizations live over different centre shapes")
-    for a, b in zip(r.Y.components, s.Y.components):
-        if not np.array_equal(a, b):
-            raise ValueError("realizations have different centres")
-
-
 def fm_add(r, s):
     """FM realization of f + g: states direct-sum, outputs concatenate."""
-    _check_same_centre(r, s)
+    check_same_centre(r, s)
     d, n = r.d, r.n
     nr, ns = r.N, s.N
     ar, br = r.A.dense(), r.B.dense()
@@ -50,7 +42,7 @@ def fm_add(r, s):
 
 def fm_mul(r, s):
     """FM realization of f * g via the block-upper-triangular coupling."""
-    _check_same_centre(r, s)
+    check_same_centre(r, s)
     d, n = r.d, r.n
     nr, ns = r.N, s.N
     ar, br = r.A.dense(), r.B.dense()

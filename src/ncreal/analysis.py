@@ -11,16 +11,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import (
-    INVERTIBILITY_RTOL,
-    RANK_RTOL,
-    CentrePoint,
-    MatrixTuple,
-    SingularMatrixError,
-    matrix_units,
-)
+from .core import RANK_RTOL, CentrePoint, MatrixTuple, require_invertible
 from .linmap import MatrixLinearMap
-from .realization import DescriptorRealization, FMRealization, pencil, transfer
+from .realization import (
+    DescriptorRealization,
+    FMRealization,
+    check_same_centre,
+    pencil,
+    transfer,
+)
 
 __all__ = [
     "SubspaceBasis",
@@ -38,14 +37,16 @@ __all__ = [
     "is_nc_function",
     "nilpotent_point",
     "moment_via_nilpotent",
+    "sweep_fits_budget",
     "max_moment_deviation",
+    "compare_moments",
     "analytically_equivalent",
     "recover_similarity",
 ]
 
 # Exact unit-moment sweeps are used while the split Hankel ladders stay below
-# this many columns; deeper equivalence questions fall back to the invariant
-# subspace test (see analytically_equivalent).
+# this many columns (see sweep_fits_budget); deeper equivalence questions fall
+# back to the invariant subspace test, and max_moment_deviation refuses them.
 SWEEP_COLUMN_BUDGET = 40000
 
 # Entries per row chunk of a moment sweep (about 5 MB of complex128).  Chunks
@@ -203,17 +204,9 @@ def translate(r, x):
     """
     m, n, nstate = x.level_m, r.n, r.N
     p = pencil(r, x)
-    if p.shape[0]:
-        s = np.linalg.svd(p, compute_uv=False)
-        if s[-1] <= INVERTIBILITY_RTOL * max(1.0, s[0]):
-            raise SingularMatrixError(
-                "cannot translate: point outside the invertibility domain "
-                "(pencil sigma_min = %.3e)" % s[-1],
-                sigma_min=float(s[-1]),
-            )
-        lam = np.linalg.inv(p)
-    else:
-        lam = p
+    require_invertible(p, "cannot translate: point outside the invertibility domain "
+                          "(pencil sigma_min = %.3e)")
+    lam = np.linalg.inv(p)
     units = r.A.dense()
     mn = m * n
     a = np.zeros((r.d, mn, mn, m * nstate, m * nstate), dtype=np.complex128)
@@ -376,14 +369,6 @@ def moment_via_nilpotent(rz, word, args, r=1.0):
 # analytic equivalence and similarity recovery
 # ---------------------------------------------------------------------------
 
-def _check_same_centre(r1, r2):
-    if r1.n != r2.n or r1.d != r2.d:
-        raise ValueError("realizations live over different centre shapes")
-    for a, b in zip(r1.Y.components, r2.Y.components):
-        if not np.array_equal(a, b):
-            raise ValueError("realizations have different centres")
-
-
 def _ladders(r, half):
     """Split Hankel ladders: exact-length stacks of unit words applied to c and b."""
     gens = [u for _, u in r.A.iter_units()]
@@ -405,11 +390,17 @@ def _block_frobenius_max(m, n):
     return float(np.sqrt(np.einsum("ijkl,ijkl->ik", v, v).max()))
 
 
+def sweep_fits_budget(r, depth):
+    """Whether the split ladders of a unit sweep to ``depth``, n (d n^2)^ceil(depth/2)
+    columns wide, fit SWEEP_COLUMN_BUDGET."""
+    return r.n * (r.d * r.n * r.n) ** ((depth + 1) // 2) <= SWEEP_COLUMN_BUDGET
+
+
 def _moment_chunks(r1, r2, depth):
     """Yield (ell, m1, m2): row chunks of the length-ell unit moments of
     both realizations, one n x n block per word and unit-argument tuple.
     """
-    _check_same_centre(r1, r2)
+    check_same_centre(r1, r2)
     half = (depth + 1) // 2
     o1, c1 = _ladders(r1, half)
     o2, c2 = _ladders(r2, half)
@@ -429,9 +420,12 @@ def max_moment_deviation(r1, r2, depth):
     """Exact max Frobenius deviation of unit-argument moments up to ``depth``.
 
     Enumerates every word w with |w| <= depth and every tuple of matrix-unit
-    arguments through split Hankel ladders; feasible while (d n^2)^ceil(depth/2)
-    stays at desk scale.  The deviation is absolute.
+    arguments through split Hankel ladders.  The deviation is absolute.
+    Raises ValueError when the ladders would not fit SWEEP_COLUMN_BUDGET.
     """
+    if not sweep_fits_budget(r1, depth):
+        raise ValueError("a moment sweep to depth %d does not fit the budget of %d "
+                         "ladder columns" % (depth, SWEEP_COLUMN_BUDGET))
     worst = 0.0
     for _, m1, m2 in _moment_chunks(r1, r2, depth):
         m1 -= m2
@@ -442,6 +436,8 @@ def max_moment_deviation(r1, r2, depth):
 def _sweep_equivalent(r1, r2, depth, tol):
     """Unit sweep with the deviation at each word length ell bounded by
     ``tol * max(1, size_ell)``, size_ell the largest length-ell moment norm.
+
+    Returns the verdict and the absolute maximum deviation.
     """
     n = r1.n
     dev = np.zeros(depth + 1)
@@ -451,7 +447,7 @@ def _sweep_equivalent(r1, r2, depth, tol):
                         _block_frobenius_max(m2, n))
         m1 -= m2
         dev[ell] = max(dev[ell], _block_frobenius_max(m1, n))
-    return bool(np.all(dev <= tol * np.maximum(1.0, size)))
+    return bool(np.all(dev <= tol * np.maximum(1.0, size))), float(dev.max())
 
 
 def _difference_realization(r1, r2):
@@ -465,15 +461,39 @@ def _difference_realization(r1, r2):
     return DescriptorRealization(MatrixLinearMap(a), b, c, r1.Y)
 
 
+def compare_moments(r1, r2, depth, tol):
+    """Analytic equivalence with its evidence: (equivalent, max_deviation).
+
+    In sweep mode ``max_deviation`` is the absolute :func:`max_moment_deviation`
+    of the same sweep; in subspace mode it is None.  See
+    :func:`analytically_equivalent` for the two modes and for ``tol``.
+    """
+    check_same_centre(r1, r2)
+    if r1.A.is_sparse:
+        r1 = kalman_minimize(r1)
+    if r2.A.is_sparse:
+        r2 = kalman_minimize(r2)
+    if sweep_fits_budget(r1, depth):
+        return _sweep_equivalent(r1, r2, depth, tol)
+    diff = _difference_realization(r1, r2)
+    gens = [u for _, u in diff.A.iter_units()]
+    v = invariant_subspace(gens, diff.c)
+    if v.shape[1] == 0:
+        return True, None
+    resid = float(np.linalg.norm(np.conj(diff.b).T @ v, 2))
+    scale = max(1.0, float(np.linalg.norm(diff.b, 2)))
+    return resid <= tol * scale, None
+
+
 def analytically_equivalent(r1, r2, depth=None, tol=1e-9):
     """Whether all moments agree: b* A^w(units) c matches up to |w| <= depth.
 
     ``depth`` defaults to N1 + N2 (a classical heuristic; the theory gives no
     finite determinacy bound for matrix centres).  The unit sweep is exact
-    while the split ladders fit the column budget; beyond that the test
-    switches to an invariant-subspace criterion on the difference
-    realization, which checks all depths at once: the observable vectors of
-    the difference must annihilate its controllable subspace.
+    while the split ladders fit the column budget (:func:`sweep_fits_budget`);
+    beyond that the test switches to an invariant-subspace criterion on the
+    difference realization, which checks all depths at once: the observable
+    vectors of the difference must annihilate its controllable subspace.
 
     ``tol`` is relative with a floor of 1 in both branches.  In the sweep
     the largest moment deviation at each word length must stay below
@@ -483,25 +503,9 @@ def analytically_equivalent(r1, r2, depth=None, tol=1e-9):
     the subspace branch the residual must stay below ``tol * max(1, ||b||)``
     for the output vectors b of the difference realization.
     """
-    _check_same_centre(r1, r2)
     if depth is None:
         depth = r1.N + r2.N
-    if r1.A.is_sparse:
-        r1 = kalman_minimize(r1)
-    if r2.A.is_sparse:
-        r2 = kalman_minimize(r2)
-    g = r1.d * r1.n * r1.n
-    half_cols = r1.n * g ** ((depth + 1) // 2)
-    if half_cols <= SWEEP_COLUMN_BUDGET:
-        return _sweep_equivalent(r1, r2, depth, tol)
-    diff = _difference_realization(r1, r2)
-    gens = [u for _, u in diff.A.iter_units()]
-    v = invariant_subspace(gens, diff.c)
-    if v.shape[1] == 0:
-        return True
-    resid = float(np.linalg.norm(np.conj(diff.b).T @ v, 2))
-    scale = max(1.0, float(np.linalg.norm(diff.b, 2)))
-    return resid <= tol * scale
+    return compare_moments(r1, r2, depth, tol)[0]
 
 
 def recover_similarity(r1, r2, tol=1e-8):
@@ -511,7 +515,7 @@ def recover_similarity(r1, r2, tol=1e-8):
     spanning set of word products and certifies the residual; fails loudly
     on non-minimal inputs, mismatched dimensions or an inconsistent system.
     """
-    _check_same_centre(r1, r2)
+    check_same_centre(r1, r2)
     if r1.N != r2.N:
         raise ValueError("state dimensions differ: %d vs %d" % (r1.N, r2.N))
     if not (is_minimal(r1) and is_minimal(r2)):
@@ -569,10 +573,5 @@ def recover_similarity(r1, r2, tol=1e-8):
             "intertwining system is inconsistent (relative residual %.3e); "
             "the realizations do not define the same transfer function" % resid
         )
-    sv = np.linalg.svd(s, compute_uv=False)
-    if nstate and sv[-1] <= INVERTIBILITY_RTOL * max(1.0, sv[0]):
-        raise SingularMatrixError(
-            "recovered intertwiner is singular (sigma_min = %.3e)" % sv[-1],
-            sigma_min=float(sv[-1]),
-        )
+    require_invertible(s, "recovered intertwiner is singular (sigma_min = %.3e)")
     return s

@@ -16,12 +16,18 @@ import sys
 
 import numpy as np
 
-from .core import MatrixTuple, SingularMatrixError, ampliate, column_norm
+from .core import (
+    MatrixTuple,
+    SingularMatrixError,
+    ampliate,
+    column_norm,
+    encode_complex,
+    passes_invertibility,
+    read_json,
+)
 from .linmap import cb_row_norm_bound
 from .realization import (
-    DescriptorRealization,
     FMRealization,
-    in_domain,
     load_realization,
     pencil_sigma,
     pole_order,
@@ -31,8 +37,7 @@ from .realization import (
 )
 from .algebra import fm_to_desc
 from .analysis import (
-    SWEEP_COLUMN_BUDGET,
-    analytically_equivalent,
+    compare_moments,
     is_minimal,
     kalman_minimize,
     llac_residual,
@@ -57,7 +62,7 @@ def _matrix_json(m):
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        "entries": encode_complex(m),
     }
 
 
@@ -81,9 +86,7 @@ def cmd_realize(args):
     centre = _load_centre(args.centre_file)
     constants = {}
     if args.constants:
-        with open(args.constants) as fh:
-            table = json.load(fh)
-        for name, obj in table.items():
+        for name, obj in read_json(args.constants).items():
             constants[name] = MatrixTuple.from_json(obj).component(1)
     expr = parse(text, centre.d, constants)
     fm = realize_expression(expr, centre)
@@ -103,9 +106,8 @@ def cmd_eval(args):
     x = MatrixTuple.load(args.point_file)
     if x.base_n != r.n:
         x = x.rebased(r.n)
-    inside = in_domain(r, x)
-    smin, _ = pencil_sigma(r, x)
-    if not inside:
+    smin, smax = pencil_sigma(r, x)
+    if not passes_invertibility(smin, smax):
         _emit({"in_domain": False, "pencil_sigma_min": smin, "value": None})
         return 3
     value = transfer_fm(r, x) if isinstance(r, FMRealization) else transfer(r, x)
@@ -116,13 +118,12 @@ def cmd_eval(args):
 def cmd_minimize(args):
     r = _as_descriptor(load_realization(args.real_file))
     minimized = kalman_minimize(r)
+    residual = max_moment_deviation(r, minimized, args.depth)
     save_realization(minimized, args.out)
-    depth = args.depth if args.depth is not None else 3
-    residual = max_moment_deviation(r, minimized, depth)
     _emit({
         "dimension_before": r.N,
         "dimension_after": minimized.N,
-        "moment_match_depth": depth,
+        "moment_match_depth": args.depth,
         "moment_match_residual": residual,
         "out": args.out,
     })
@@ -162,16 +163,13 @@ def cmd_equiv(args):
     r1 = _as_descriptor(load_realization(args.real_file_1))
     r2 = _as_descriptor(load_realization(args.real_file_2))
     depth = args.depth if args.depth is not None else r1.N + r2.N
-    equivalent = analytically_equivalent(r1, r2, depth=depth, tol=args.tol)
-    g = r1.d * r1.n * r1.n
-    feasible = r1.n * g ** ((depth + 1) // 2) <= SWEEP_COLUMN_BUDGET
-    report = {
+    equivalent, deviation = compare_moments(r1, r2, depth, args.tol)
+    _emit({
         "equivalent": bool(equivalent),
         "depth": depth,
-        "mode": "sweep" if feasible else "subspace",
-        "max_deviation": max_moment_deviation(r1, r2, depth) if feasible else None,
-    }
-    _emit(report)
+        "mode": "subspace" if deviation is None else "sweep",
+        "max_deviation": deviation,
+    })
     return 0
 
 
@@ -205,9 +203,10 @@ def cmd_domain_sample(args):
             h = h.scaled(1.0 / max(column_norm(h), 1e-300))
             scale = float(10.0 ** rng.uniform(-2.0, 1.0))
             x = y1 + h.scaled(scale)
-        smin, _ = pencil_sigma(r, x)
+        smin, smax = pencil_sigma(r, x)
         rows.append("%d,%.17g,%s,%.17g,%d" % (
-            idx, scale, str(in_domain(r, x)).lower(), smin, pole_order(r, x)))
+            idx, scale, str(passes_invertibility(smin, smax)).lower(), smin,
+            pole_order(r, x)))
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -224,65 +223,63 @@ def _build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False, tol_help="tolerance override"):
-        p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
-        p.add_argument("--depth", type=int, default=None, help="moment depth override")
-        p.add_argument("--samples", type=int, default=50, help="sample count")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        if out_required:
-            p.add_argument("--out", required=True, help="output file path")
-        else:
-            p.add_argument("--out", default=None, help="output file path")
-
     p = sub.add_parser("realize", help="build an FM realization from an expression")
     p.add_argument("expr_file")
     p.add_argument("centre_file")
     p.add_argument("--constants", default=None,
                    help="JSON file of named constant matrices (matrix-tuple format, m=1)")
-    common(p, out_required=True)
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("eval", help="evaluate a realization at a point")
     p.add_argument("real_file")
     p.add_argument("point_file")
-    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("minimize", help="Kalman-minimize a realization")
     p.add_argument("real_file")
-    common(p, out_required=True)
+    p.add_argument("--out", required=True, help="output file path")
+    p.add_argument("--depth", type=int, default=3,
+                   help="depth of the moment check against the input")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("certify", help="minimality plus Lost-Abbey certificate")
     p.add_argument("real_file")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest Lost-Abbey residual of an NC function")
+    p.add_argument("--depth", type=int, default=None, help="moment depth override")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("translate", help="re-centre a realization at a domain point")
     p.add_argument("real_file")
     p.add_argument("point_file")
-    common(p, out_required=True)
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("equiv", help="test analytic equivalence of two realizations")
     p.add_argument("real_file_1")
     p.add_argument("real_file_2")
-    common(p, tol_help="relative tolerance: in sweep mode the moment deviation "
-                       "at each word length must stay below tol * max(1, largest "
-                       "moment norm of that length); in subspace mode the residual "
-                       "below tol * max(1, ||b||) of the difference realization")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="relative tolerance: in sweep mode the moment deviation "
+                        "at each word length must stay below tol * max(1, largest "
+                        "moment norm of that length); in subspace mode the residual "
+                        "below tol * max(1, ||b||) of the difference realization")
+    p.add_argument("--depth", type=int, default=None,
+                   help="moment depth (default N1 + N2)")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("fock", help="canonical realization of a truncated Fock vector")
     p.add_argument("fock_file")
     p.add_argument("centre_file")
-    common(p, out_required=True)
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_fock)
 
     p = sub.add_parser("domain-sample",
                        help="CSV of sampled points with domain flags and pole orders")
     p.add_argument("real_file")
-    common(p)
+    p.add_argument("--samples", type=int, default=50, help="sample count")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_domain_sample)
     return top
 

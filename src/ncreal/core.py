@@ -6,9 +6,16 @@ d matrices of side m*n, read as an m x m grid of n x n blocks (block index
 outer, centre index inner, flattened block-row-major).  Functions never
 mutate their arguments; component arrays are marked read-only on
 construction so tuples can be shared freely across threads.
+
+This module owns the JSON file format of every command: a complex array is
+the flat row-major list of its [re, im] pairs, and a file holds one object
+with sorted keys (encode_complex, decode_complex, write_json, read_json).
 """
 
+import array
 import json
+import math
+from itertools import chain
 
 import numpy as np
 import scipy.linalg
@@ -27,9 +34,15 @@ __all__ = [
     "column_norm",
     "apply_similarity",
     "deviation_from_centre",
-    "is_invertible_matrix",
+    "singular_value_range",
+    "passes_invertibility",
+    "require_invertible",
     "invert_checked",
     "solve_refined",
+    "encode_complex",
+    "decode_complex",
+    "write_json",
+    "read_json",
 ]
 
 # A matrix counts as invertible when sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max).
@@ -59,20 +72,24 @@ def _as_complex(a, name="matrix"):
     return arr
 
 
-def _extreme_singular_values(m):
+def singular_value_range(m):
+    """Smallest and largest singular value of ``m``; (inf, 0) when it is empty."""
     if m.shape[0] == 0 or m.shape[1] == 0:
         return np.inf, 0.0
     s = np.linalg.svd(m, compute_uv=False)
-    return s[-1], s[0]
+    return float(s[-1]), float(s[0])
 
 
-def is_invertible_matrix(m):
-    """Scale-aware invertibility test: sigma_min > 1e-12 * max(1, sigma_max)."""
-    m = np.asarray(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    smin, smax = _extreme_singular_values(m)
+def passes_invertibility(smin, smax):
+    """The invertibility test: sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max)."""
     return smin > INVERTIBILITY_RTOL * max(1.0, smax)
+
+
+def require_invertible(m, message):
+    """Raise SingularMatrixError(message % sigma_min) unless ``m`` passes the test."""
+    smin, smax = singular_value_range(m)
+    if not passes_invertibility(smin, smax):
+        raise SingularMatrixError(message % smin, sigma_min=smin)
 
 
 def invert_checked(m, what="matrix"):
@@ -82,12 +99,7 @@ def invert_checked(m, what="matrix"):
         raise ValueError("cannot invert non-square %s of shape %s" % (what, m.shape))
     if m.shape[0] == 0:
         return m.copy()
-    smin, smax = _extreme_singular_values(m)
-    if smin <= INVERTIBILITY_RTOL * max(1.0, smax):
-        raise SingularMatrixError(
-            "%s is singular at the working threshold (sigma_min = %.3e)" % (what, smin),
-            sigma_min=smin,
-        )
+    require_invertible(m, what + " is singular at the working threshold (sigma_min = %.3e)")
     return np.linalg.inv(m)
 
 
@@ -228,23 +240,13 @@ class MatrixTuple:
             "n": self.base_n,
             "m": self.level_m,
             "d": self.d,
-            "components": [
-                [[float(z.real), float(z.imag)] for z in c.ravel()] for c in self.components
-            ],
+            "components": [encode_complex(c) for c in self.components],
         }
 
     @classmethod
     def from_json(cls, obj):
         n, m, d = obj["n"], obj["m"], obj["d"]
-        side = n * m
-        comps = []
-        for flat in obj["components"]:
-            if len(flat) != side * side:
-                raise ValueError(
-                    "component has %d entries, expected %d" % (len(flat), side * side)
-                )
-            arr = np.array([complex(re, im) for re, im in flat]).reshape(side, side)
-            comps.append(arr)
+        comps = [decode_complex(flat, (n * m, n * m)) for flat in obj["components"]]
         if len(comps) != d:
             raise ValueError("expected %d components, found %d" % (d, len(comps)))
         if m == 1:
@@ -252,13 +254,11 @@ class MatrixTuple:
         return cls(comps, n)
 
     def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
+        write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 class CentrePoint(MatrixTuple):
@@ -316,11 +316,45 @@ def apply_similarity(s, x):
         raise ValueError(
             "similarity of shape %s does not match tuple side %d" % (s.shape, x.side)
         )
-    smin, smax = _extreme_singular_values(s)
-    if smin <= INVERTIBILITY_RTOL * max(1.0, smax):
-        raise SingularMatrixError(
-            "similarity is singular at the working threshold (sigma_min = %.3e)" % smin,
-            sigma_min=smin,
-        )
-    s_inv = np.linalg.inv(s)
+    s_inv = invert_checked(s, "similarity")
     return MatrixTuple([s_inv @ c @ s for c in x.components], x.base_n)
+
+
+# ---------------------------------------------------------------------------
+# the JSON file format
+# ---------------------------------------------------------------------------
+
+def encode_complex(a):
+    """The flat row-major list of [re, im] pairs of a complex array."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(-1, 2).tolist()
+
+
+def decode_complex(pairs, shape):
+    """The complex array of ``shape`` stored as a flat list of [re, im] pairs.
+
+    Raises ValueError unless ``pairs`` holds prod(shape) pairs of real numbers.
+    """
+    k = math.prod(shape)
+    if not isinstance(pairs, list) or len(pairs) != k:
+        raise ValueError("expected a list of %d [re, im] pairs" % k)
+    try:
+        lengths = set(map(len, pairs))
+        flat = array.array("d", chain.from_iterable(pairs))
+    except (TypeError, OverflowError):  # an entry without a length, or not a real number
+        lengths = None
+    if lengths is None or lengths - {2}:
+        raise ValueError("entries must be [re, im] pairs of real numbers")
+    return np.frombuffer(flat, np.complex128).reshape(shape)
+
+
+def write_json(obj, path):
+    """Write ``obj`` to ``path`` as JSON with sorted keys."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True))
+
+
+def read_json(path):
+    """The object stored in the JSON file at ``path``."""
+    with open(path) as fh:
+        return json.load(fh)

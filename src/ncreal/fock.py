@@ -11,7 +11,6 @@ Operators are returned as scipy.sparse matrices: the dimension grows like
 n^{2(l+1)} d^l and dense storage dies quickly.
 """
 
-import json
 import warnings
 from collections import namedtuple
 from functools import lru_cache
@@ -19,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse
 
-from .core import CentrePoint, MatrixTuple, ampliate, column_norm, deviation_from_centre
+from .core import (ampliate, column_norm, decode_complex, deviation_from_centre,
+                   encode_complex, read_json, write_json)
 from .linmap import MatrixLinearMap
 from .realization import DescriptorRealization
 
@@ -186,33 +186,26 @@ class TruncatedFockVector:
             self.n, self.d, self.L, len(self.coeffs))
 
     def to_json(self):
-        terms = []
-        for idx in sorted(self.coeffs):
-            z = self.coeffs[idx]
-            terms.append({
-                "alpha": list(idx.alpha),
-                "beta": list(idx.beta),
-                "omega": list(idx.omega),
-                "c": [float(z.real), float(z.imag)],
-            })
+        keys = sorted(self.coeffs)
+        values = encode_complex(np.array([self.coeffs[k] for k in keys], dtype=np.complex128))
+        terms = [{"alpha": list(idx.alpha), "beta": list(idx.beta),
+                  "omega": list(idx.omega), "c": c} for idx, c in zip(keys, values)]
         return {"n": self.n, "d": self.d, "L": self.L, "terms": terms}
 
     @classmethod
     def from_json(cls, obj):
-        coeffs = {}
-        for t in obj["terms"]:
-            key = (tuple(t["alpha"]), tuple(t["beta"]), tuple(t["omega"]))
-            coeffs[key] = complex(t["c"][0], t["c"][1])
+        terms = obj["terms"]
+        values = decode_complex([t["c"] for t in terms], (len(terms),))
+        coeffs = {(tuple(t["alpha"]), tuple(t["beta"]), tuple(t["omega"])): z
+                  for t, z in zip(terms, values)}
         return cls(obj["n"], obj["d"], obj["L"], coeffs)
 
     def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
+        write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def _unit(n, i, j):

@@ -15,7 +15,7 @@ per (j, p, q) instead; the accessors hide the difference.
 import numpy as np
 import scipy.sparse
 
-from .core import MatrixTuple
+from .core import MatrixTuple, decode_complex, encode_complex
 
 __all__ = [
     "MatrixLinearMap",
@@ -141,37 +141,24 @@ class MatrixLinearMap:
     # serialization: {"n":…, "N":…, "d":…, "coeffs": j-major, then p,q row-major,
     # each value a flat row-major list of [re, im] pairs}
     def to_json(self):
-        dense = self.dense()
         return {
             "n": self.n,
             "N": self.out_rows,
             "M": self.out_cols,
             "d": self.d,
-            "coeffs": [
-                [
-                    [
-                        [[float(z.real), float(z.imag)] for z in dense[j, p, q].ravel()]
-                        for q in range(self.n)
-                    ]
-                    for p in range(self.n)
-                ]
-                for j in range(self.d)
-            ],
+            "coeffs": [[[encode_complex(u) for u in row] for row in comp]
+                       for comp in self.dense()],
         }
 
     @classmethod
     def from_json(cls, obj):
         d, n, rows = obj["d"], obj["n"], obj["N"]
         cols = obj.get("M", rows)
-        out = np.empty((d, n, n, rows, cols), dtype=np.complex128)
-        for j in range(d):
-            for p in range(n):
-                for q in range(n):
-                    flat = obj["coeffs"][j][p][q]
-                    out[j, p, q] = np.array(
-                        [complex(re, im) for re, im in flat]
-                    ).reshape(rows, cols)
-        return cls(out)
+        coeffs = np.array([[[decode_complex(flat, (rows, cols)) for flat in row]
+                            for row in comp] for comp in obj["coeffs"]])
+        if coeffs.shape != (d, n, n, rows, cols):
+            raise ValueError("coefficient table must be d x n x n = %d x %d x %d" % (d, n, n))
+        return cls(coeffs)
 
 
 def apply(a, j, g):

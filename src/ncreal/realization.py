@@ -14,18 +14,20 @@ affine input coupling instead and evaluate to
     f(X) = I_m (x) D + (I_m (x) C) L_A(...)^{-1} B(X - I_m (x) Y).
 """
 
-import json
-
 import numpy as np
 import scipy.sparse
 
 from .core import (
-    INVERTIBILITY_RTOL,
     MatrixTuple,
-    SingularMatrixError,
-    ampliate,
+    decode_complex,
     deviation_from_centre,
+    encode_complex,
+    passes_invertibility,
+    read_json,
+    require_invertible,
+    singular_value_range,
     solve_refined,
+    write_json,
 )
 from .linmap import MatrixLinearMap, ampliated_apply, word_apply
 
@@ -42,6 +44,7 @@ __all__ = [
     "pole_order",
     "load_realization",
     "save_realization",
+    "check_same_centre",
 ]
 
 # Singular values below POLE_RANK_RTOL * sigma_max count as zero in the
@@ -91,8 +94,8 @@ class DescriptorRealization:
         return {
             "kind": "descriptor",
             "A": self.A.to_json(),
-            "b": [[float(z.real), float(z.imag)] for z in self.b.ravel()],
-            "c": [[float(z.real), float(z.imag)] for z in self.c.ravel()],
+            "b": encode_complex(self.b),
+            "c": encode_complex(self.c),
             "Y": self.Y.to_json(),
         }
 
@@ -100,8 +103,8 @@ class DescriptorRealization:
     def from_json(cls, obj):
         a = MatrixLinearMap.from_json(obj["A"])
         shape = (a.out_rows, a.n)
-        b = np.array([complex(re, im) for re, im in obj["b"]]).reshape(shape)
-        c = np.array([complex(re, im) for re, im in obj["c"]]).reshape(shape)
+        b = decode_complex(obj["b"], shape)
+        c = decode_complex(obj["c"], shape)
         return cls(a, b, c, MatrixTuple.from_json(obj["Y"]))
 
 
@@ -143,8 +146,8 @@ class FMRealization:
             "kind": "fm",
             "A": self.A.to_json(),
             "B": self.B.to_json(),
-            "C": [[float(z.real), float(z.imag)] for z in self.C.ravel()],
-            "D": [[float(z.real), float(z.imag)] for z in self.D.ravel()],
+            "C": encode_complex(self.C),
+            "D": encode_complex(self.D),
             "Y": self.Y.to_json(),
         }
 
@@ -153,19 +156,17 @@ class FMRealization:
         a = MatrixLinearMap.from_json(obj["A"])
         bmap = MatrixLinearMap.from_json(obj["B"])
         n, rows = a.n, a.out_rows
-        c = np.array([complex(re, im) for re, im in obj["C"]]).reshape(n, rows)
-        dmat = np.array([complex(re, im) for re, im in obj["D"]]).reshape(n, n)
+        c = decode_complex(obj["C"], (n, rows))
+        dmat = decode_complex(obj["D"], (n, n))
         return cls(a, bmap, c, dmat, MatrixTuple.from_json(obj["Y"]))
 
 
 def save_realization(r, path):
-    with open(path, "w") as fh:
-        json.dump(r.to_json(), fh, sort_keys=True)
+    write_json(r.to_json(), path)
 
 
 def load_realization(path):
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if obj.get("kind") == "descriptor":
         return DescriptorRealization.from_json(obj)
     if obj.get("kind") == "fm":
@@ -173,42 +174,41 @@ def load_realization(path):
     raise ValueError("unknown realization kind %r" % obj.get("kind"))
 
 
+def check_same_centre(r1, r2):
+    """Raise ValueError unless two realizations share their centre exactly."""
+    if r1.n != r2.n or r1.d != r2.d:
+        raise ValueError("realizations live over different centre shapes")
+    for a, b in zip(r1.Y.components, r2.Y.components):
+        if not np.array_equal(a, b):
+            raise ValueError("realizations have different centres")
+
+
+def _ampliated_at(a, r, x):
+    """sum_j (id_m (x) a_j)(X_j - I_m (x) Y_j) as a dense array."""
+    t = ampliated_apply(a, deviation_from_centre(x, r.Y))
+    return t.toarray() if scipy.sparse.issparse(t) else t
+
+
 def pencil(r, x):
     """L_A(X - I_m (x) Y) = I_{mN} - sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j)."""
-    h = deviation_from_centre(x, r.Y)
-    t = ampliated_apply(r.A, h)
-    if scipy.sparse.issparse(t):
-        t = t.toarray()
+    t = _ampliated_at(r.A, r, x)
     return np.eye(t.shape[0], dtype=np.complex128) - t
 
 
 def pencil_sigma(r, x):
     """Smallest and largest singular value of the pencil at X."""
-    p = pencil(r, x)
-    if p.shape[0] == 0:
-        return np.inf, 0.0
-    s = np.linalg.svd(p, compute_uv=False)
-    return float(s[-1]), float(s[0])
+    return singular_value_range(pencil(r, x))
 
 
 def in_domain(r, x):
     """Whether the pencil at X passes the invertibility threshold."""
-    smin, smax = pencil_sigma(r, x)
-    return smin > INVERTIBILITY_RTOL * max(1.0, smax)
+    return passes_invertibility(*pencil_sigma(r, x))
 
 
 def _solve_pencil(r, x, rhs):
     p = pencil(r, x)
-    smin, smax = (np.inf, 0.0)
-    if p.shape[0]:
-        s = np.linalg.svd(p, compute_uv=False)
-        smin, smax = float(s[-1]), float(s[0])
-        if smin <= INVERTIBILITY_RTOL * max(1.0, smax):
-            raise SingularMatrixError(
-                "point lies outside the invertibility domain "
-                "(pencil sigma_min = %.3e)" % smin,
-                sigma_min=smin,
-            )
+    require_invertible(p, "point lies outside the invertibility domain "
+                          "(pencil sigma_min = %.3e)")
     return solve_refined(p, rhs)
 
 
@@ -223,13 +223,8 @@ def transfer(r, x):
 
 def transfer_fm(r, x):
     """I_m (x) D + (I_m (x) C) L_A(...)^{-1} B(X - I_m (x) Y)."""
-    m = x.level_m
-    h = deviation_from_centre(x, r.Y)
-    rhs = ampliated_apply(r.B, h)
-    if scipy.sparse.issparse(rhs):
-        rhs = rhs.toarray()
-    sol = _solve_pencil(r, x, rhs)
-    eye = np.eye(m)
+    sol = _solve_pencil(r, x, _ampliated_at(r.B, r, x))
+    eye = np.eye(x.level_m)
     return np.kron(eye, r.D) + np.kron(eye, r.C) @ sol
 
 
@@ -249,16 +244,12 @@ def series_transfer(r, x, terms):
     ampliated b* and c.  No domain condition is required; convergence as
     ``terms`` grows holds when column_norm(X - I_m (x) Y) < 1/||A||_cb.
     """
-    m = x.level_m
-    h = deviation_from_centre(x, r.Y)
-    t = ampliated_apply(r.A, h)
-    if scipy.sparse.issparse(t):
-        t = t.toarray()
+    t = _ampliated_at(r.A, r, x)
     eye_state = np.eye(t.shape[0], dtype=np.complex128)
     acc = eye_state.copy()
     for _ in range(terms):
         acc = eye_state + t @ acc
-    eye = np.eye(m)
+    eye = np.eye(x.level_m)
     return np.kron(eye, np.conj(r.b).T) @ acc @ np.kron(eye, r.c)
 
 
@@ -269,14 +260,10 @@ def pole_order(r, x):
     computed as the first k with rank((I - T)^k) = rank((I - T)^{k+1});
     0 exactly when X lies in the invertibility domain.
     """
-    h = deviation_from_centre(x, r.Y)
-    t = ampliated_apply(r.A, h)
-    if scipy.sparse.issparse(t):
-        t = t.toarray()
-    size = t.shape[0]
+    m = pencil(r, x)
+    size = m.shape[0]
     if size == 0:
         return 0
-    m = np.eye(size, dtype=np.complex128) - t
     norm = np.linalg.norm(m, 2)
     if norm == 0.0:
         return 1  # I - T = 0 only when T = I, a diagonalizable pole

@@ -26,9 +26,12 @@ from ncreal.realization import (
     transfer,
 )
 from ncreal.algebra import constant_fm, fm_to_desc
+from ncreal import analysis
 from ncreal.analysis import (
+    SWEEP_COLUMN_BUDGET,
     _block_frobenius_max,
     analytically_equivalent,
+    compare_moments,
     controllable_basis,
     is_minimal,
     is_nc_function,
@@ -504,6 +507,29 @@ class TestMomentSweep:
         ref = max(np.linalg.norm(m[i:i + n, j:j + n])
                   for i in range(0, 4 * n, n) for j in range(0, 5 * n, n))
         assert _block_frobenius_max(m, n) == pytest.approx(ref, rel=1e-14)
+
+    def test_compare_moments_reports_the_sweep_deviation(self):
+        rng = np.random.default_rng(33)
+        r = random_descriptor(rng, 2, 3, 2, scale=0.5)
+        both = direct_sum_desc(r, r)
+        other = random_descriptor(rng, 2, 3, 2, scale=0.5, y=r.Y)
+        for r2 in (kalman_minimize(both), other):
+            verdict, deviation = compare_moments(both, r2, 4, 1e-9)
+            assert verdict == analytically_equivalent(both, r2, depth=4, tol=1e-9)
+            assert deviation == max_moment_deviation(both, r2, 4)
+        # depth 10 needs 2 * 8^5 ladder columns: subspace mode, no deviation
+        assert compare_moments(both, other, 10, 1e-9) == (False, None)
+
+    def test_deviation_refused_past_the_budget(self, monkeypatch):
+        def no_ladders(*args):
+            raise AssertionError("ladders built past the budget")
+
+        monkeypatch.setattr(analysis, "_ladders", no_ladders)
+        rng = np.random.default_rng(34)
+        r = random_descriptor(rng, 2, 3, 2, scale=0.5)
+        # n (d n^2)^8 = 2 * 8^8 ladder columns
+        with pytest.raises(ValueError, match="depth 16 .* %d" % SWEEP_COLUMN_BUDGET):
+            max_moment_deviation(r, r, 16)
 
 
 class TestKalmanMomentPreservation:

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 from conftest import random_centre
 
-from ncreal.cli import main
+from ncreal import analysis
+from ncreal.cli import _build_parser, main
 from ncreal.core import CentrePoint, MatrixTuple
-from ncreal.realization import load_realization
+from ncreal.realization import load_realization, save_realization
 from ncreal.fock import TruncatedFockVector
 
 
@@ -228,3 +229,133 @@ class TestDeterminism:
             assert code == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    options = {name: sorted(o for a in p._actions if a.dest != "help"
+                            for o in a.option_strings)
+               for name, p in sub.choices.items()}
+    assert options == {
+        "realize": ["--constants", "--out"],
+        "eval": [],
+        "minimize": ["--depth", "--out"],
+        "certify": ["--depth", "--tol"],
+        "translate": ["--out"],
+        "equiv": ["--depth", "--tol"],
+        "fock": ["--out"],
+        "domain-sample": ["--out", "--samples", "--seed"],
+    }
+
+
+class TestSingleSweepAndSvd:
+    def test_equiv_sweeps_once(self, workdir, capsys, monkeypatch):
+        run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+            "--out", workdir / "p.json")
+        run(capsys, "minimize", workdir / "p.json", "--out", workdir / "pmin.json")
+        calls = []
+        ladders = analysis._ladders
+        monkeypatch.setattr(analysis, "_ladders",
+                            lambda r, half: calls.append(r.N) or ladders(r, half))
+        code, out = run(capsys, "equiv", workdir / "p.json", workdir / "pmin.json",
+                        "--depth", "4")
+        assert code == 0 and json.loads(out)["mode"] == "sweep"
+        assert len(calls) == 2  # one ladder pair per realization, one sweep
+
+    def test_eval_takes_one_svd_for_flag_and_sigma(self, workdir, capsys, monkeypatch):
+        run(capsys, "realize", workdir / "comm.expr", workdir / "centre.json",
+            "--out", workdir / "r.json")
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        code, out = run(capsys, "eval", workdir / "r.json", workdir / "point.json")
+        assert code == 0 and json.loads(out)["in_domain"] is True
+        assert len(calls) == 2  # the reported sigma, then the checked solve
+
+    def test_minimize_refuses_a_depth_past_the_budget(self, workdir, capsys, monkeypatch):
+        run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+            "--out", workdir / "p.json")
+
+        def no_ladders(*args):
+            raise AssertionError("ladders built past the budget")
+
+        monkeypatch.setattr(analysis, "_ladders", no_ladders)
+        # n = 2, d = 2: ladders of 2 * 8^8 columns
+        code, _ = run(capsys, "minimize", workdir / "p.json", "--depth", "16",
+                      "--out", workdir / "never.json")
+        assert code == 2
+        assert not (workdir / "never.json").exists()
+
+
+BAD_PAIRS = {"string entry": ["1.0", 2.0], "bare number": 1.0, "short pair": [1.0]}
+
+
+@pytest.mark.parametrize("kind,how", [
+    (kind, how) for kind in ("realization", "point", "fock")
+    for how in list(BAD_PAIRS) + ["truncated list"]
+    if not (kind == "fock" and how == "truncated list")  # a coefficient is one pair
+])
+def test_malformed_entries_exit_two(workdir, capsys, kind, how):
+    run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+        "--out", workdir / "p.json")
+    TruncatedFockVector(2, 2, 1, {((1,), (1,), ()): 1.0}).dump(workdir / "h.json")
+    target, argv = {
+        "realization": ("p.json", ["certify", workdir / "p.json"]),
+        "point": ("point.json", ["eval", workdir / "p.json", workdir / "point.json"]),
+        "fock": ("h.json", ["fock", workdir / "h.json", workdir / "centre.json",
+                            "--out", workdir / "never.json"]),
+    }[kind]
+    obj = json.loads((workdir / target).read_text())
+    if kind == "fock":
+        obj["terms"][0]["c"] = BAD_PAIRS[how]
+    else:
+        pairs = obj["A"]["coeffs"][0][0][0] if kind == "realization" else obj["components"][0]
+        if how == "truncated list":
+            del pairs[-1]
+        else:
+            pairs[0] = BAD_PAIRS[how]
+    (workdir / target).write_text(json.dumps(obj))
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+class TestFileFormat:
+    """Handwritten files in the documented format load exactly and save back verbatim."""
+
+    REALIZATION = (
+        '{"A": {"M": 2, "N": 2, "coeffs": [[[[[0.5, -1.0], [0.0, 0.0], [0.1, 2.5], '
+        '[-0.0, 1e-300]]]], [[[[3.0, 0.0], [0.0, -0.25], [1.0, 1.0], [7.0, 0.0]]]]], '
+        '"d": 2, "n": 1}, "Y": {"components": [[[0.25, 0.0]], [[-1.5, 2.0]]], "d": 2, '
+        '"m": 1, "n": 1}, "b": [[1.0, 0.0], [0.0, -0.5]], "c": [[2.0, 0.0], '
+        '[0.125, 3.0]], "kind": "descriptor"}'
+    )
+    FOCK = (
+        '{"L": 1, "d": 2, "n": 1, "terms": [{"alpha": [1], "beta": [1], "c": [1.0, 0.0], '
+        '"omega": []}, {"alpha": [1, 1], "beta": [1, 1], "c": [0.5, -0.25], '
+        '"omega": [2]}]}'
+    )
+
+    def test_realization_round_trip(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(self.REALIZATION)
+        r = load_realization(path)
+        a = r.A.dense()
+        assert a.shape == (2, 1, 1, 2, 2)
+        assert np.array_equal(a[0, 0, 0], [[0.5 - 1j, 0], [0.1 + 2.5j, complex(-0.0, 1e-300)]])
+        assert np.signbit(a[0, 0, 0, 1, 1].real)
+        assert np.array_equal(a[1, 0, 0], [[3, -0.25j], [1 + 1j, 7]])
+        assert np.array_equal(r.b, [[1], [-0.5j]])
+        assert np.array_equal(r.c, [[2], [0.125 + 3j]])
+        assert np.array_equal(np.stack(r.Y.components), [[[0.25]], [[-1.5 + 2j]]])
+        save_realization(r, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == self.REALIZATION
+
+    def test_fock_vector_round_trip(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(self.FOCK)
+        h = TruncatedFockVector.load(path)
+        assert h.coeffs == {((1,), (1,), ()): 1.0, ((1, 1), (1, 1), (2,)): 0.5 - 0.25j}
+        h.dump(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == self.FOCK

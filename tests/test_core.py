@@ -14,7 +14,9 @@ from ncreal.core import (
     ampliate,
     apply_similarity,
     column_norm,
+    decode_complex,
     direct_sum,
+    encode_complex,
     word_transpose,
 )
 
@@ -205,3 +207,26 @@ def test_centre_point_rejects_higher_level():
 def test_nonfinite_entries_rejected():
     with pytest.raises(ValueError, match="finite"):
         MatrixTuple([np.array([[np.nan]])], 1)
+
+
+class TestComplexCodec:
+    def test_round_trip_is_exact(self):
+        a = np.array([[0.1 - 2j, complex(-0.0, 1e-300)], [3, 5e300j]])
+        pairs = encode_complex(a)
+        assert pairs == [[0.1, -2.0], [-0.0, 1e-300], [3.0, 0.0], [0.0, 5e300]]
+        back = decode_complex(pairs, (2, 2))
+        assert np.array_equal(back, a) and np.signbit(back[0, 1].real)
+
+    @pytest.mark.parametrize("pairs", [
+        [[1.0, 2.0, 3.0], [4.0]],        # lengths that add up to the right count
+        [[None, 1.0], [1.0, 2.0]],
+        [["1.0", 2.0], [1.0, 2.0]],
+        [[[1.0], 2.0], [1.0, 2.0]],
+        [{"re": 1.0, "im": 2.0}, [1.0, 2.0]],
+        [[10 ** 400, 0.0], [1.0, 2.0]],
+        [[1.0, 2.0]],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+    ])
+    def test_malformed_pairs_rejected(self, pairs):
+        with pytest.raises(ValueError):
+            decode_complex(pairs, (2,))
