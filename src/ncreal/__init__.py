@@ -27,7 +27,9 @@ from .linmap import (
 )
 from .realization import (
     DescriptorRealization,
+    Evaluation,
     FMRealization,
+    evaluate,
     in_domain,
     load_realization,
     moment,

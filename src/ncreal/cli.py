@@ -28,12 +28,11 @@ from .core import (
 from .linmap import cb_row_norm_bound
 from .realization import (
     FMRealization,
+    evaluate,
     load_realization,
     pencil_sigma,
     pole_order,
     save_realization,
-    transfer,
-    transfer_fm,
 )
 from .algebra import fm_to_desc
 from .analysis import (
@@ -106,12 +105,13 @@ def cmd_eval(args):
     x = MatrixTuple.load(args.point_file)
     if x.base_n != r.n:
         x = x.rebased(r.n)
-    smin, smax = pencil_sigma(r, x)
-    if not passes_invertibility(smin, smax):
+    e = evaluate(r, x)
+    # the report gives the exact sigma_min: one SVD, the kernel's if it took one
+    smin = e.sigma_min if e.decided_by == "svd" else pencil_sigma(r, x)[0]
+    if not e.in_domain:
         _emit({"in_domain": False, "pencil_sigma_min": smin, "value": None})
         return 3
-    value = transfer_fm(r, x) if isinstance(r, FMRealization) else transfer(r, x)
-    _emit({"in_domain": True, "pencil_sigma_min": smin, "value": _matrix_json(value)})
+    _emit({"in_domain": True, "pencil_sigma_min": smin, "value": _matrix_json(e.value)})
     return 0
 
 
@@ -204,9 +204,9 @@ def cmd_domain_sample(args):
             scale = float(10.0 ** rng.uniform(-2.0, 1.0))
             x = y1 + h.scaled(scale)
         smin, smax = pencil_sigma(r, x)
+        inside = passes_invertibility(smin, smax)
         rows.append("%d,%.17g,%s,%.17g,%d" % (
-            idx, scale, str(passes_invertibility(smin, smax)).lower(), smin,
-            pole_order(r, x)))
+            idx, scale, str(inside).lower(), smin, 0 if inside else pole_order(r, x)))
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

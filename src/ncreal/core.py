@@ -19,6 +19,7 @@ from itertools import chain
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 __all__ = [
     "INVERTIBILITY_RTOL",
@@ -41,6 +42,8 @@ __all__ = [
     "solve_refined",
     "encode_complex",
     "decode_complex",
+    "json_field",
+    "decode_field",
     "write_json",
     "read_json",
 ]
@@ -104,13 +107,25 @@ def invert_checked(m, what="matrix"):
 
 
 def solve_refined(m, rhs):
-    """Solve m @ z = rhs by LU with partial pivoting plus one refinement step."""
+    """Solve m @ z = rhs by LU plus one refinement step.
+
+    A dense ``m`` takes LAPACK's LU with partial pivoting; a scipy sparse
+    ``m`` (CSC) takes SuperLU and stays sparse.
+    """
     if m.shape[0] == 0:
         return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    z = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    if scipy.sparse.issparse(m):
+        from scipy.sparse.linalg import splu  # imported here: only sparse pencils need it
+
+        solve = splu(m).solve
+    else:
+        lu_piv = scipy.linalg.lu_factor(m, check_finite=False)
+
+        def solve(b):
+            return scipy.linalg.lu_solve(lu_piv, b, check_finite=False)
+    z = solve(rhs)
     resid = rhs - m @ z
-    z += scipy.linalg.lu_solve((lu, piv), resid, check_finite=False)
+    z += solve(resid)
     return z
 
 
@@ -244,11 +259,16 @@ class MatrixTuple:
         }
 
     @classmethod
-    def from_json(cls, obj):
-        n, m, d = obj["n"], obj["m"], obj["d"]
-        comps = [decode_complex(flat, (n * m, n * m)) for flat in obj["components"]]
-        if len(comps) != d:
-            raise ValueError("expected %d components, found %d" % (d, len(comps)))
+    def from_json(cls, obj, where="tuple"):
+        n, m, d = (json_field(obj, key, int, where) for key in ("n", "m", "d"))
+        flats = json_field(obj, "components", list, where)
+        side = n * m
+        if len(flats) != d or any(not isinstance(f, list) or len(f) != side * side
+                                  for f in flats):
+            raise ValueError("%s.components must be %d lists of %d x %d values"
+                             % (where, d, side, side))
+        comps = decode_complex(list(chain.from_iterable(flats)), (d, side, side),
+                               where + ".components")
         if m == 1:
             return CentrePoint(comps)
         return cls(comps, n)
@@ -330,22 +350,53 @@ def encode_complex(a):
     return a.view(np.float64).reshape(-1, 2).tolist()
 
 
-def decode_complex(pairs, shape):
+def decode_complex(pairs, shape, where="array"):
     """The complex array of ``shape`` stored as a flat list of [re, im] pairs.
 
-    Raises ValueError unless ``pairs`` holds prod(shape) pairs of real numbers.
+    Raises ValueError, naming the field ``where``, unless ``pairs`` holds
+    prod(shape) pairs of finite real numbers.
     """
     k = math.prod(shape)
     if not isinstance(pairs, list) or len(pairs) != k:
-        raise ValueError("expected a list of %d [re, im] pairs" % k)
+        raise ValueError("%s: expected a list of %d [re, im] pairs" % (where, k))
     try:
         lengths = set(map(len, pairs))
         flat = array.array("d", chain.from_iterable(pairs))
     except (TypeError, OverflowError):  # an entry without a length, or not a real number
         lengths = None
     if lengths is None or lengths - {2}:
-        raise ValueError("entries must be [re, im] pairs of real numbers")
+        raise ValueError("%s: entries must be [re, im] pairs of real numbers" % where)
+    if not np.isfinite(np.frombuffer(flat, np.float64)).all():
+        raise ValueError("%s: entries must be finite" % where)
     return np.frombuffer(flat, np.complex128).reshape(shape)
+
+
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a string",
+               int: "a non-negative integer"}
+
+
+def json_field(obj, key, kind, where):
+    """``obj[key]`` of the JSON object found at ``where`` in a file.
+
+    ``kind`` is dict, list, str or int (a non-negative integer).  Raises
+    ValueError naming the field when ``obj`` is not an object, lacks ``key``
+    or holds a value of another kind there.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("%s must be a JSON object, got %s" % (where, type(obj).__name__))
+    if key not in obj:
+        raise ValueError("%s.%s is missing" % (where, key))
+    value = obj[key]
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or (kind is int and value < 0)):
+        got = repr(value) if isinstance(value, (int, float)) else type(value).__name__
+        raise ValueError("%s.%s must be %s, got %s" % (where, key, _JSON_KINDS[kind], got))
+    return value
+
+
+def decode_field(obj, key, shape, where):
+    """:func:`decode_complex` of the field ``obj[key]`` found at ``where``."""
+    return decode_complex(json_field(obj, key, list, where), shape, "%s.%s" % (where, key))
 
 
 def write_json(obj, path):

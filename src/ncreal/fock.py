@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse
 
 from .core import (ampliate, column_norm, decode_complex, deviation_from_centre,
-                   encode_complex, read_json, write_json)
+                   encode_complex, json_field, read_json, write_json)
 from .linmap import MatrixLinearMap
 from .realization import DescriptorRealization
 
@@ -194,11 +194,21 @@ class TruncatedFockVector:
 
     @classmethod
     def from_json(cls, obj):
-        terms = obj["terms"]
-        values = decode_complex([t["c"] for t in terms], (len(terms),))
-        coeffs = {(tuple(t["alpha"]), tuple(t["beta"]), tuple(t["omega"])): z
-                  for t, z in zip(terms, values)}
-        return cls(obj["n"], obj["d"], obj["L"], coeffs)
+        where = "fock vector"
+        n, d, big_l = (json_field(obj, key, int, where) for key in ("n", "d", "L"))
+        terms = json_field(obj, "terms", list, where)
+        keys, pairs = [], []
+        for i, term in enumerate(terms):
+            at = "%s.terms[%d]" % (where, i)
+            key = tuple(tuple(json_field(term, part, list, at))
+                        for part in ("alpha", "beta", "omega"))
+            if not all(isinstance(k, int) and not isinstance(k, bool)
+                       for k in key[0] + key[1] + key[2]):
+                raise ValueError("%s: alpha, beta and omega must hold integer letters" % at)
+            keys.append(key)
+            pairs.append(json_field(term, "c", list, at))
+        values = decode_complex(pairs, (len(terms),), where + ".terms")
+        return cls(n, d, big_l, dict(zip(keys, values)))
 
     def dump(self, path):
         write_json(self.to_json(), path)

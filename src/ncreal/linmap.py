@@ -12,10 +12,13 @@ construction produces much larger state spaces and stores one sparse matrix
 per (j, p, q) instead; the accessors hide the difference.
 """
 
+from functools import cached_property
+from itertools import chain
+
 import numpy as np
 import scipy.sparse
 
-from .core import MatrixTuple, decode_complex, encode_complex
+from .core import MatrixTuple, decode_complex, encode_complex, json_field
 
 __all__ = [
     "MatrixLinearMap",
@@ -82,6 +85,11 @@ class MatrixLinearMap:
     @property
     def N(self):
         return self.out_rows
+
+    @cached_property
+    def cb_bound(self):
+        """:func:`cb_row_norm_bound` of this map, computed on first use and kept."""
+        return cb_row_norm_bound(self)
 
     @classmethod
     def zeros(cls, d, n, rows, cols=None):
@@ -151,14 +159,20 @@ class MatrixLinearMap:
         }
 
     @classmethod
-    def from_json(cls, obj):
-        d, n, rows = obj["d"], obj["n"], obj["N"]
-        cols = obj.get("M", rows)
-        coeffs = np.array([[[decode_complex(flat, (rows, cols)) for flat in row]
-                            for row in comp] for comp in obj["coeffs"]])
-        if coeffs.shape != (d, n, n, rows, cols):
-            raise ValueError("coefficient table must be d x n x n = %d x %d x %d" % (d, n, n))
-        return cls(coeffs)
+    def from_json(cls, obj, where="map"):
+        d, n, rows = (json_field(obj, key, int, where) for key in ("d", "n", "N"))
+        cols = json_field(obj, "M", int, where) if "M" in obj else rows
+        table = json_field(obj, "coeffs", list, where)
+        flats = [flat for comp in table if isinstance(comp, list) and len(comp) == n
+                 for row in comp if isinstance(row, list) and len(row) == n
+                 for flat in row]
+        if len(table) != d or len(flats) != d * n * n or any(
+                not isinstance(flat, list) or len(flat) != rows * cols for flat in flats):
+            raise ValueError("%s.coeffs must be a d x n x n = %d x %d x %d table of "
+                             "%d x %d values" % (where, d, n, n, rows, cols))
+        # one decode for the whole table: the lengths above keep the entries aligned
+        return cls(decode_complex(list(chain.from_iterable(flats)), (d, n, n, rows, cols),
+                                  where + ".coeffs"))
 
 
 def apply(a, j, g):

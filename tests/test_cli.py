@@ -271,7 +271,21 @@ class TestSingleSweepAndSvd:
                             lambda *a, **k: calls.append(1) or svd(*a, **k))
         code, out = run(capsys, "eval", workdir / "r.json", workdir / "point.json")
         assert code == 0 and json.loads(out)["in_domain"] is True
-        assert len(calls) == 2  # the reported sigma, then the checked solve
+        assert len(calls) == 1  # the reported sigma; the kernel certified the solve
+
+    def test_eval_reuses_the_kernels_svd(self, tmp_path, capsys, monkeypatch):
+        CentrePoint([np.zeros((1, 1))]).dump(tmp_path / "y.json")
+        (tmp_path / "e.expr").write_text("inv(1 - x1)")
+        run(capsys, "realize", tmp_path / "e.expr", tmp_path / "y.json",
+            "--out", tmp_path / "r.json")
+        MatrixTuple([np.array([[1.0]])], 1).dump(tmp_path / "p.json")
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        code, out = run(capsys, "eval", tmp_path / "r.json", tmp_path / "p.json")
+        assert code == 3 and json.loads(out)["pencil_sigma_min"] < 1e-12
+        assert len(calls) == 1  # the certificate cannot fire; its SVD gives the sigma
 
     def test_minimize_refuses_a_depth_past_the_budget(self, workdir, capsys, monkeypatch):
         run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
@@ -319,6 +333,31 @@ def test_malformed_entries_exit_two(workdir, capsys, kind, how):
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("target,content,named", [
+    ("realization", "[1, 2]", "realization must be a JSON object, got list"),
+    ("realization", '{"kind": "fm", "A": 5}', "realization.A must be a JSON object, got 5"),
+    ("realization", '{"kind": "descriptor"}', "realization.A is missing"),
+    ("point", '{"n": 2, "m": 1, "d": "2", "components": []}', "tuple.d must be a non-negative"),
+    ("realization", "nan", "realization.A.coeffs: entries must be finite"),
+], ids=["list", "int-map", "missing-map", "string-dim", "nan-entry"])
+def test_malformed_structure_exits_two_naming_the_field(workdir, capsys, target, content,
+                                                       named):
+    run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+        "--out", workdir / "p.json")
+    bad = workdir / "bad.json"
+    if content == "nan":  # the realization just made, with one NaN coefficient
+        obj = json.loads((workdir / "p.json").read_text())
+        obj["A"]["coeffs"][0][0][0][0] = [float("nan"), 0.0]
+        content = json.dumps(obj)
+    bad.write_text(content)
+    argv = (["certify", bad] if target == "realization"
+            else ["eval", workdir / "p.json", bad])
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and named in captured.err
 
 
 class TestFileFormat:

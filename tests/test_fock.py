@@ -210,6 +210,55 @@ class TestFockRealization:
                 ev = eval_fock(h, x, y)
                 assert np.linalg.norm(tv - ev) <= 1e-10 * max(1.0, np.linalg.norm(ev))
 
+    def test_transfer_keeps_the_pencil_sparse(self, monkeypatch):
+        import scipy.linalg
+        import scipy.sparse._base
+        import scipy.sparse._compressed
+
+        rng = np.random.default_rng(61)
+        n, d, L = 2, 2, 2
+        y = random_centre(rng, n, d)
+        h = random_fock_vector(rng, n, d, L)
+        r = fock_realization(h, y)
+        assert r.N == 584
+        x = ampliate(y, 1) + unit_column_tuple(rng, n, 1, d).scaled(2.0)
+        ev = eval_fock(h, x, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense work on the Fock pencil")
+
+        def guarded(method):
+            def call(self, *args, **kwargs):
+                if max(self.shape) >= r.N:
+                    refuse()
+                return method(self, *args, **kwargs)
+            return call
+
+        # no sparse matrix of the pencil's size is densified, and no dense
+        # SVD or LU is taken
+        for cls in (scipy.sparse._base._spbase, scipy.sparse._compressed._cs_matrix):
+            for name in ("toarray", "todense"):
+                if name in cls.__dict__:
+                    monkeypatch.setattr(cls, name, guarded(cls.__dict__[name]))
+        for module, name in ((np.linalg, "svd"), (np.linalg._linalg, "svd"),
+                             (scipy.linalg, "lu_factor")):
+            monkeypatch.setattr(module, name, refuse)
+        tv = transfer(r, x)
+        monkeypatch.undo()
+        assert np.linalg.norm(tv - ev) <= 1e-12 * np.linalg.norm(ev)
+
+    def test_transfer_at_4680_states_equals_evaluation(self):
+        rng = np.random.default_rng(62)
+        n, d, L = 2, 2, 3
+        y = random_centre(rng, n, d)
+        h = random_fock_vector(rng, n, d, L, density=0.1)
+        r = fock_realization(h, y)
+        assert r.N == 4680
+        for m, scale in ((1, 0.5), (1, 3.0), (2, 1.0)):
+            x = ampliate(y, m) + unit_column_tuple(rng, n, m, d).scaled(scale)
+            ev = eval_fock(h, x, y)
+            assert np.linalg.norm(transfer(r, x) - ev) <= 1e-12 * np.linalg.norm(ev)
+
     def test_unipotent_pencil_determinant(self):
         rng = np.random.default_rng(7)
         n, d, L = 2, 2, 1

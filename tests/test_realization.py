@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import conftest
 from conftest import (
     cmat,
     point_near_centre,
@@ -13,6 +17,7 @@ from conftest import (
     word_sum_transfer,
 )
 
+from ncreal import realization
 from ncreal.core import (
     CentrePoint,
     MatrixTuple,
@@ -20,15 +25,18 @@ from ncreal.core import (
     ampliate,
     apply_similarity,
     direct_sum,
+    passes_invertibility,
 )
-from ncreal.linmap import MatrixLinearMap, cb_row_norm_bound
+from ncreal.linmap import MatrixLinearMap, ampliated_apply, cb_row_norm_bound
 from ncreal.realization import (
     DescriptorRealization,
     FMRealization,
+    evaluate,
     in_domain,
     load_realization,
     moment,
     pencil,
+    pencil_sigma,
     pole_order,
     save_realization,
     series_transfer,
@@ -93,6 +101,84 @@ class TestInDomain:
         assert_allclose(comm, np.diag([1.0, -1.0]))
         fm = realize_expression(parse("inv(x1*x2 - x2*x1)", 2), y)
         assert in_domain(fm_to_desc(fm), ampliate(y, 1))
+
+
+def unipotent_realization(t, sparse):
+    """n = d = 1, N = 2 data whose pencil at X = 1 about Y = 0 is [[1, t], [0, 1]]."""
+    unit = np.array([[0.0, -t], [0.0, 0.0]], dtype=np.complex128)
+    amap = MatrixLinearMap([[[scipy.sparse.csr_matrix(unit)]]] if sparse
+                           else unit.reshape(1, 1, 1, 2, 2))
+    centre = CentrePoint([np.zeros((1, 1))])
+    return DescriptorRealization(amap, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
+                                 centre)
+
+
+class TestEvaluationKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 3),
+           d=st.integers(1, 3), big_n=st.integers(1, 4))
+    def test_cb_bound_holds_at_every_level(self, seed, m, n, d, big_n):
+        rng = np.random.default_rng(seed)
+        a = random_linmap(rng, d, n, big_n, scale=float(rng.uniform(0.1, 3.0)))
+        h = unit_column_tuple(rng, n, m, d).scaled(float(rng.uniform(0.1, 3.0)))
+        norm = np.linalg.norm(ampliated_apply(a, h), 2)
+        assert norm <= realization._cb_col_bound(a, h) * (1.0 + realization._BOUND_PAD)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    @pytest.mark.parametrize("t", [10.0, 1e13])
+    def test_unipotent_pencil(self, t, sparse):
+        # sigma_min = 1 / sigma_max: unipotent, yet outside the domain at t = 1e13
+        r = unipotent_realization(t, sparse)
+        x = scalar_point(1.0)
+        e = evaluate(r, x)
+        assert e.in_domain == passes_invertibility(*pencil_sigma(r, x)) == (t == 10.0)
+        assert e.decided_by == ("certificate" if sparse and t == 10.0 else "svd")
+        if e.in_domain:
+            assert_allclose(e.value, [[-t]], rtol=1e-14)
+            assert e.sigma_min <= pencil_sigma(r, x)[0]
+            assert e.sigma_max >= pencil_sigma(r, x)[1]
+        else:
+            assert e.value is None
+            with pytest.raises(SingularMatrixError):
+                transfer(r, x)
+
+    def test_verdict_matches_svd_on_the_sampled_points(self, nc_corpus, monkeypatch):
+        decided = []
+
+        def checked(r, x):
+            e = evaluate(r, x)
+            assert e.in_domain == passes_invertibility(*pencil_sigma(r, x))
+            decided.append(e.decided_by)
+            return e.in_domain
+
+        monkeypatch.setattr(conftest, "in_domain", checked)
+        rng = np.random.default_rng(31)
+        for item in nc_corpus:
+            item.sample_points(rng, 2)
+        r = scalar_realization()
+        for value in (1.0, 0.5):
+            checked(r, scalar_point(value))
+        assert decided.count("certificate") > 100 and "svd" in decided
+
+    def test_certified_point_takes_no_svd(self, monkeypatch):
+        from ncreal.parser import parse, realize_expression
+
+        rng = np.random.default_rng(32)
+        y = random_centre(rng, 2, 2)
+        fm = realize_expression(parse("inv(x1*x2 + 3) - x2*x1*x2", 2), y)
+        x = point_near_centre(rng, y, 4, 0.9 / fm.A.cb_bound)
+        expected = (np.kron(np.eye(4), fm.D) + np.kron(np.eye(4), fm.C)
+                    @ np.linalg.solve(pencil(fm, x), ampliated_apply(
+                        fm.B, x - ampliate(y, 4))))
+        calls = []
+        for module in (np.linalg, np.linalg._linalg):
+            svd = module.svd
+            monkeypatch.setattr(module, "svd",
+                                lambda *a, svd=svd, **k: calls.append(1) or svd(*a, **k))
+        assert in_domain(fm, x)
+        value = transfer_fm(fm, x)
+        assert calls == []
+        assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestTransfer:
@@ -252,6 +338,15 @@ class TestPoleOrder:
         rng = np.random.default_rng(15)
         r = random_descriptor(rng, 2, 3, 2, scale=0.4)
         assert pole_order(r, ampliate(r.Y, 1)) == 0
+
+    def test_zero_wherever_the_domain_flag_passes(self):
+        # pencil diag(1, 1e-11): inside the domain, below the rank ladder's cut
+        amap = MatrixLinearMap(np.diag([0.0, 1.0 - 1e-11]).reshape(1, 1, 1, 2, 2)
+                               .astype(complex))
+        r = DescriptorRealization(amap, np.ones((2, 1)), np.ones((2, 1)),
+                                  CentrePoint([np.zeros((1, 1))]))
+        assert in_domain(r, scalar_point(1.0))
+        assert pole_order(r, scalar_point(1.0)) == 0
 
     def test_jordan_block_order_two(self):
         # A(X - Y) is a single 2x2 Jordan block at 1: rank sequence gives 2
