@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import RANK_RTOL, CentrePoint, MatrixTuple, require_invertible
+from .core import RANK_RTOL, CentrePoint, MatrixTuple, eye_kron, require_invertible
 from .linmap import MatrixLinearMap
 from .realization import (
     DescriptorRealization,
@@ -218,9 +218,8 @@ def translate(r, x):
                     for qq in range(n):
                         tgt = a[j, k * n + pp, l * n + qq]
                         tgt[:, l * nstate:(l + 1) * nstate] = lam_block @ units[j, pp, qq]
-    eye = np.eye(m)
-    b2 = np.kron(eye, r.b)
-    c2 = lam @ np.kron(eye, r.c)
+    b2 = eye_kron(m, r.b)
+    c2 = lam @ eye_kron(m, r.c)
     centre = CentrePoint([comp.copy() for comp in x.components])
     return DescriptorRealization(MatrixLinearMap(a), b2, c2, centre)
 
@@ -339,10 +338,9 @@ def nilpotent_point(y, word, args, r=1.0):
     if len(args) != ell:
         raise ValueError("word of length %d got %d arguments" % (ell, len(args)))
     n = y.base_n
-    eye = np.eye(ell + 1)
     comps = []
     for k in range(1, y.d + 1):
-        mk = np.kron(eye, y.component(k)).astype(np.complex128)
+        mk = eye_kron(ell + 1, y.component(k))
         for pos, letter in enumerate(word):
             if letter == k:
                 g = np.asarray(args[pos], dtype=np.complex128)

@@ -4,8 +4,9 @@ compare, build Fock realizations, and sample invertibility domains.
 All reports are machine-readable JSON with a top-level schema_version; the
 domain sampler emits CSV.  Exit codes: 0 success, 2 user-input error
 (parsing, file formats, expressions undefined at the centre), 3 numerical
-failure (singular pencil or centre value).  A fixed --seed makes every
-sampling command bit-reproducible.
+failure (singular pencil or centre value).  An error is reported as one
+line on standard error, ``error: <message>``; NCREAL_LOG=DEBUG adds its
+traceback.  A fixed --seed makes every sampling command bit-reproducible.
 """
 
 import argparse
@@ -44,7 +45,7 @@ from .analysis import (
     translate,
 )
 from .fock import TruncatedFockVector, fock_realization
-from .parser import ParseError, UndefinedAtCentreError, parse, realize_expression
+from .parser import parse, realize_expression
 
 log = logging.getLogger("ncreal")
 
@@ -291,18 +292,11 @@ def main(argv=None):
     args = top.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UndefinedAtCentreError) as exc:
-        log.error("%s", exc)
+    except (SingularMatrixError, OSError, ValueError, KeyError) as exc:
+        # ParseError, UndefinedAtCentreError and JSONDecodeError are ValueErrors
+        log.debug("%s failed", args.command, exc_info=True)
         sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except SingularMatrixError as exc:
-        log.error("%s", exc)
-        sys.stderr.write("error: %s\n" % exc)
-        return 3
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        log.error("%s", exc)
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
+        return 3 if isinstance(exc, SingularMatrixError) else 2
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ __all__ = [
     "matrix_units",
     "direct_sum",
     "ampliate",
+    "eye_kron",
     "column_norm",
     "apply_similarity",
     "deviation_from_centre",
@@ -311,8 +312,21 @@ def ampliate(y, m):
         raise ValueError("ampliation order must be at least 1, got %d" % m)
     if y.level_m != 1:
         raise ValueError("ampliate expects a centre point (level 1), got level %d" % y.level_m)
-    eye = np.eye(m)
-    return MatrixTuple([np.kron(eye, c) for c in y.components], y.base_n)
+    return MatrixTuple([eye_kron(m, c) for c in y.components], y.base_n)
+
+
+def eye_kron(m, mat):
+    """I_m (x) M: the block-diagonal matrix with m copies of M on its diagonal.
+
+    Equal entry for entry to ``np.kron(np.eye(m), mat)`` (zeros may differ in
+    sign), but it only copies M m times instead of multiplying m^2 blocks.
+    """
+    mat = np.asarray(mat)
+    rows, cols = mat.shape
+    out = np.zeros((m, rows, m, cols), dtype=np.result_type(mat, np.float64))
+    diag = np.arange(m)
+    out[diag, :, diag, :] = mat
+    return out.reshape(m * rows, m * cols)
 
 
 def deviation_from_centre(x, y):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse
 
 from .core import (ampliate, column_norm, decode_complex, deviation_from_centre,
-                   encode_complex, json_field, read_json, write_json)
+                   encode_complex, eye_kron, json_field, read_json, write_json)
 from .linmap import MatrixLinearMap
 from .realization import DescriptorRealization
 
@@ -226,11 +226,10 @@ def _unit(n, i, j):
 
 def _basis_evaluation(idx, h_components, n, m):
     """E_{alpha,beta} * e_omega evaluated on a deviation tuple H (level m)."""
-    eye = np.eye(m)
-    out = np.kron(eye, _unit(n, idx.alpha[0], idx.beta[0]))
+    out = eye_kron(m, _unit(n, idx.alpha[0], idx.beta[0]))
     for s, w in enumerate(idx.omega, start=1):
         out = out @ h_components[w - 1]
-        out = out @ np.kron(eye, _unit(n, idx.alpha[s], idx.beta[s]))
+        out = out @ eye_kron(m, _unit(n, idx.alpha[s], idx.beta[s]))
     return out
 
 

@@ -10,6 +10,11 @@ standard matrix unit is kept, so that
 Desk-scale maps keep one dense tensor of shape (d, n, n, N, M).  The Fock
 construction produces much larger state spaces and stores one sparse matrix
 per (j, p, q) instead; the accessors hide the difference.
+
+The level-m ampliation sum_j (id_m (x) A_j)(X_j), from which every pencil
+and every FM input is built, is the contraction T^{(k,l)} = sum_{j,p,q}
+X_j^{(k,l)}[p, q] A_j(E_pq): one matrix product for a dense map (see
+:func:`ampliated_apply`), one Kronecker product per unit for a sparse one.
 """
 
 from functools import cached_property
@@ -187,6 +192,12 @@ def ampliated_apply(a, x):
     map's n; the result is the m x m block matrix whose (k, l) block is
     sum_j A_j(X_j^{(k,l)}).  Dense maps return a dense array, sparse maps a
     sparse one.
+
+    A dense map contracts over (j, p, q) in one BLAS product: the (m m) x
+    (d n n) matrix of entries X_j^{(k,l)}[p, q] times the tensor viewed as a
+    (d n n) x (N M) matrix, copied from (k, l) x (r, s) into (k, r) x (l, s)
+    order.  An all-zero block X^{(k,l)} gives an exactly zero block; the last
+    bits depend on the BLAS build.
     """
     if not isinstance(x, MatrixTuple):
         raise TypeError("expected a MatrixTuple")
@@ -203,11 +214,12 @@ def ampliated_apply(a, x):
             piece = scipy.sparse.kron(scipy.sparse.csr_matrix(scal), u, format="csr")
             acc = piece if acc is None else acc + piece
         return acc
-    out = np.zeros((m, a.out_rows, m, a.out_cols), dtype=np.complex128)
-    for j in range(a.d):
-        blocks = x.components[j].reshape(m, n, m, n)
-        out += np.einsum("kplq,pqrs->krls", blocks, a._dense[j])
-    return out.reshape(m * a.out_rows, m * a.out_cols)
+    units = a.d * n * n
+    # rows (k, l), columns (j, p, q): entry X_j^{(k,l)}[p, q]
+    blocks = np.stack(x.components).reshape(a.d, m, n, m, n).transpose(1, 3, 0, 2, 4)
+    prod = blocks.reshape(m * m, units) @ a._dense.reshape(units, a.out_rows * a.out_cols)
+    prod = prod.reshape(m, m, a.out_rows, a.out_cols).transpose(0, 2, 1, 3)
+    return prod.reshape(m * a.out_rows, m * a.out_cols)
 
 
 def word_apply(a, word, args):

@@ -48,6 +48,7 @@ from .core import (
     decode_field,
     deviation_from_centre,
     encode_complex,
+    eye_kron,
     json_field,
     passes_invertibility,
     read_json,
@@ -371,13 +372,13 @@ def evaluate(r, x):
     if p is None:
         p = _identity_minus(t)
         del t
-    eye = np.eye(x.level_m)
+    m = x.level_m
     if isinstance(r, FMRealization):
         sol = solve_refined(p, _dense(ampliated_apply(r.B, h)))
-        value = np.kron(eye, r.D) + np.kron(eye, r.C) @ sol
+        value = eye_kron(m, r.D) + eye_kron(m, r.C) @ sol
     else:
-        sol = solve_refined(p, np.kron(eye, r.c))
-        value = np.kron(eye, np.conj(r.b).T) @ sol
+        sol = solve_refined(p, eye_kron(m, r.c))
+        value = eye_kron(m, np.conj(r.b).T) @ sol
     return verdict._replace(value=value)
 
 
@@ -435,8 +436,7 @@ def series_transfer(r, x, terms):
     acc = eye_state.copy()
     for _ in range(terms):
         acc = eye_state + t @ acc
-    eye = np.eye(x.level_m)
-    return np.kron(eye, np.conj(r.b).T) @ acc @ np.kron(eye, r.c)
+    return eye_kron(x.level_m, np.conj(r.b).T) @ acc @ eye_kron(x.level_m, r.c)
 
 
 def pole_order(r, x):

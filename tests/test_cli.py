@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_centre
 
+import ncreal
 from ncreal import analysis
 from ncreal.cli import _build_parser, main
 from ncreal.core import CentrePoint, MatrixTuple
@@ -358,6 +362,19 @@ def test_malformed_structure_exits_two_naming_the_field(workdir, capsys, target,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and named in captured.err
+
+
+def test_error_is_one_line_on_stderr_of_the_process(tmp_path):
+    # in a real process, where no test harness captures the logging module's output
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "fm", "A": 5}')
+    env = {k: v for k, v in os.environ.items() if k != "NCREAL_LOG"}
+    src = os.path.dirname(os.path.dirname(ncreal.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ncreal.cli", "certify", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: realization.A must be a JSON object, got 5\n"
 
 
 class TestFileFormat:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import cmat, random_centre, random_linmap, random_tuple, unit_column_tuple
 
-from ncreal.core import MatrixTuple, ampliate, column_norm, matrix_units
+from ncreal.core import MatrixTuple, ampliate, column_norm, eye_kron, matrix_units
 from ncreal.linmap import (
     MatrixLinearMap,
     adjoint_word_apply,
@@ -79,6 +81,71 @@ class TestAmpliatedApply:
         a = random_linmap(rng, 2, 2, 3)
         with pytest.raises(ValueError):
             ampliated_apply(a, random_tuple(rng, 3, 1, 2))
+
+    @staticmethod
+    def unit_oracle(a, x):
+        # sum_j sum_pq X_j^{(k,l)}[p, q] A_j(E_pq), one block and one unit at a time
+        m, n = x.level_m, a.n
+        out = np.zeros((m * a.out_rows, m * a.out_cols), dtype=np.complex128)
+        for k in range(m):
+            for l in range(m):
+                block = out[k * a.out_rows:(k + 1) * a.out_rows,
+                            l * a.out_cols:(l + 1) * a.out_cols]
+                for (j, p, q), u in a.iter_units():
+                    block += x.components[j - 1][k * n + p, l * n + q] * u
+        return out
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3), n=st.integers(1, 3),
+           m=st.integers(1, 4), rows=st.integers(1, 6), input_map=st.booleans())
+    def test_matches_the_unit_oracle(self, seed, d, n, m, rows, input_map):
+        # input_map: a rectangular N x n map, as the B map of an FM realization
+        rng = np.random.default_rng(seed)
+        cols = n if input_map else rows
+        a = MatrixLinearMap(cmat(rng, d * n * n * rows, cols).reshape(d, n, n, rows, cols))
+        x = random_tuple(rng, n, m, d)
+        expected = self.unit_oracle(a, x)
+        got = ampliated_apply(a, x)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(2, 4))
+    def test_zero_block_gives_exactly_zero_block(self, seed, n, m):
+        # the nilpotent points leave whole blocks of H at zero; T must keep them zero
+        rng = np.random.default_rng(seed)
+        a = random_linmap(rng, 2, n, 5)
+        comps = [cmat(rng, m * n, m * n) for _ in range(2)]
+        k, l = (int(i) for i in rng.integers(0, m, size=2))
+        for comp in comps:
+            comp[k * n:(k + 1) * n, l * n:(l + 1) * n] = 0.0
+        t = ampliated_apply(a, MatrixTuple(comps, n))
+        assert np.all(t[k * 5:(k + 1) * 5, l * 5:(l + 1) * 5] == 0)
+
+    def test_dense_map_takes_no_einsum(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        rng = np.random.default_rng(20)
+        a = random_linmap(rng, 2, 3, 7)
+        x = random_tuple(rng, 3, 4, 2)
+        expected = self.unit_oracle(a, x)
+        monkeypatch.setattr(np, "einsum", refuse)
+        got = ampliated_apply(a, x)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestEyeKron:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 5), rows=st.integers(0, 4),
+           cols=st.integers(0, 4), real=st.booleans())
+    def test_equals_kron_with_identity(self, seed, m, rows, cols, real):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((rows, cols)) if real else cmat(rng, rows, cols)
+        expected = np.kron(np.eye(m), mat)
+        got = eye_kron(m, mat)
+        assert got.dtype == expected.dtype
+        assert_array_equal(got, expected)
 
 
 class TestWordApply:
