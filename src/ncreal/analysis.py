@@ -11,7 +11,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import RANK_RTOL, CentrePoint, MatrixTuple, eye_kron, require_invertible
+from .core import (
+    RANK_RTOL,
+    CentrePoint,
+    MatrixTuple,
+    eye_kron,
+    require_invertible,
+    require_nonnegative,
+)
 from .linmap import MatrixLinearMap
 from .realization import (
     DescriptorRealization,
@@ -37,16 +44,14 @@ __all__ = [
     "is_nc_function",
     "nilpotent_point",
     "moment_via_nilpotent",
-    "sweep_fits_budget",
     "max_moment_deviation",
     "compare_moments",
     "analytically_equivalent",
     "recover_similarity",
 ]
 
-# Exact unit-moment sweeps are used while the split Hankel ladders stay below
-# this many columns (see sweep_fits_budget); deeper equivalence questions fall
-# back to the invariant subspace test, and max_moment_deviation refuses them.
+# max_moment_deviation, the exact unit-moment sweep, refuses depths whose split
+# Hankel ladders would exceed this many columns.  Equivalence never sweeps.
 SWEEP_COLUMN_BUDGET = 40000
 
 # Entries per row chunk of a moment sweep (about 5 MB of complex128).  Chunks
@@ -93,20 +98,23 @@ def _adj(m):
     return np.conj(m).T
 
 
-def invariant_subspace(generators, seed, tol=RANK_RTOL):
+def invariant_subspace(generators, seed, tol=RANK_RTOL, steps=None):
     """Smallest subspace containing Ran(seed) and invariant under the generators.
 
-    Iterates S <- S + sum_g g S until the rank stabilizes; at most N steps.
+    Iterates S <- S + sum_g g S, so step k spans {g_w seed : |w| <= k}, until
+    the rank stabilizes (at most N steps) or ``steps`` steps have been taken.
     """
     seed = np.asarray(seed, dtype=np.complex128)
     ambient = seed.shape[0]
     basis = _orth(seed, tol)
-    while 0 < basis.shape[1] < ambient:
+    taken = 0
+    while 0 < basis.shape[1] < ambient and (steps is None or taken < steps):
         images = [g @ basis for g in generators]
         grown = _orth(np.hstack([basis] + images), tol)
         if grown.shape[1] == basis.shape[1]:
             return grown
         basis = grown
+        taken += 1
     return basis
 
 
@@ -388,21 +396,24 @@ def _block_frobenius_max(m, n):
     return float(np.sqrt(np.einsum("ijkl,ijkl->ik", v, v).max()))
 
 
-def sweep_fits_budget(r, depth):
-    """Whether the split ladders of a unit sweep to ``depth``, n (d n^2)^ceil(depth/2)
-    columns wide, fit SWEEP_COLUMN_BUDGET."""
-    return r.n * (r.d * r.n * r.n) ** ((depth + 1) // 2) <= SWEEP_COLUMN_BUDGET
+def max_moment_deviation(r1, r2, depth):
+    """Exact max Frobenius deviation of unit-argument moments up to ``depth``.
 
-
-def _moment_chunks(r1, r2, depth):
-    """Yield (ell, m1, m2): row chunks of the length-ell unit moments of
-    both realizations, one n x n block per word and unit-argument tuple.
+    Enumerates every word w with |w| <= depth and every tuple of matrix-unit
+    arguments through split Hankel ladders, n (d n^2)^ceil(depth/2) columns
+    wide, in row chunks.  The deviation is absolute.  Raises ValueError on a
+    negative depth and when the ladders would not fit SWEEP_COLUMN_BUDGET.
     """
-    check_same_centre(r1, r2)
+    require_nonnegative("depth", depth)
     half = (depth + 1) // 2
+    n = r1.n
+    if n * (r1.d * n * n) ** half > SWEEP_COLUMN_BUDGET:
+        raise ValueError("a moment sweep to depth %d does not fit the budget of %d "
+                         "ladder columns" % (depth, SWEEP_COLUMN_BUDGET))
+    check_same_centre(r1, r2)
     o1, c1 = _ladders(r1, half)
     o2, c2 = _ladders(r2, half)
-    n = r1.n
+    worst = 0.0
     for ell in range(depth + 1):
         a, b = ell // 2, ell - ell // 2
         ka = o1[a].shape[1]
@@ -410,42 +421,9 @@ def _moment_chunks(r1, r2, depth):
         for start in range(0, ka, chunk):
             stop = min(ka, start + chunk)
             m1 = np.conj(o1[a][:, start:stop]).T @ c1[b]
-            m2 = np.conj(o2[a][:, start:stop]).T @ c2[b]
-            yield ell, m1, m2
-
-
-def max_moment_deviation(r1, r2, depth):
-    """Exact max Frobenius deviation of unit-argument moments up to ``depth``.
-
-    Enumerates every word w with |w| <= depth and every tuple of matrix-unit
-    arguments through split Hankel ladders.  The deviation is absolute.
-    Raises ValueError when the ladders would not fit SWEEP_COLUMN_BUDGET.
-    """
-    if not sweep_fits_budget(r1, depth):
-        raise ValueError("a moment sweep to depth %d does not fit the budget of %d "
-                         "ladder columns" % (depth, SWEEP_COLUMN_BUDGET))
-    worst = 0.0
-    for _, m1, m2 in _moment_chunks(r1, r2, depth):
-        m1 -= m2
-        worst = max(worst, _block_frobenius_max(m1, r1.n))
+            m1 -= np.conj(o2[a][:, start:stop]).T @ c2[b]
+            worst = max(worst, _block_frobenius_max(m1, n))
     return worst
-
-
-def _sweep_equivalent(r1, r2, depth, tol):
-    """Unit sweep with the deviation at each word length ell bounded by
-    ``tol * max(1, size_ell)``, size_ell the largest length-ell moment norm.
-
-    Returns the verdict and the absolute maximum deviation.
-    """
-    n = r1.n
-    dev = np.zeros(depth + 1)
-    size = np.zeros(depth + 1)
-    for ell, m1, m2 in _moment_chunks(r1, r2, depth):
-        size[ell] = max(size[ell], _block_frobenius_max(m1, n),
-                        _block_frobenius_max(m2, n))
-        m1 -= m2
-        dev[ell] = max(dev[ell], _block_frobenius_max(m1, n))
-    return bool(np.all(dev <= tol * np.maximum(1.0, size))), float(dev.max())
 
 
 def _difference_realization(r1, r2):
@@ -460,46 +438,44 @@ def _difference_realization(r1, r2):
 
 
 def compare_moments(r1, r2, depth, tol):
-    """Analytic equivalence with its evidence: (equivalent, max_deviation).
+    """Analytic equivalence with its margin: (equivalent, residual, allowed).
 
-    In sweep mode ``max_deviation`` is the absolute :func:`max_moment_deviation`
-    of the same sweep; in subspace mode it is None.  See
-    :func:`analytically_equivalent` for the two modes and for ``tol``.
+    The one criterion is the invariant-subspace test on the difference
+    realization (A1 (+) A2, b1 (+) -b2, c1 (+) c2), whose moments are the
+    differences of the two realizations' moments.  Its output vectors b must
+    annihilate V, an orthonormal basis of the span of A^w(units) c over
+    |w| <= ``depth``: ``residual`` = ||b* V||_2 must not exceed ``allowed`` =
+    tol * max(1, ||b||_2).  So all moments through length ``depth`` agree,
+    decided in polynomial time.  Any depth >= N1 + N2 saturates V to the
+    controllable subspace of the difference, and the verdict then covers
+    every depth.  A negative depth or a non-finite or negative tol raises
+    ValueError.
     """
+    require_nonnegative("depth", depth)
+    require_nonnegative("tol", tol)
     check_same_centre(r1, r2)
     if r1.A.is_sparse:
         r1 = kalman_minimize(r1)
     if r2.A.is_sparse:
         r2 = kalman_minimize(r2)
-    if sweep_fits_budget(r1, depth):
-        return _sweep_equivalent(r1, r2, depth, tol)
     diff = _difference_realization(r1, r2)
     gens = [u for _, u in diff.A.iter_units()]
-    v = invariant_subspace(gens, diff.c)
-    if v.shape[1] == 0:
-        return True, None
-    resid = float(np.linalg.norm(np.conj(diff.b).T @ v, 2))
-    scale = max(1.0, float(np.linalg.norm(diff.b, 2)))
-    return resid <= tol * scale, None
+    v = invariant_subspace(gens, diff.c, steps=depth)
+    residual = float(np.linalg.norm(np.conj(diff.b).T @ v, 2)) if v.shape[1] else 0.0
+    allowed = tol * max(1.0, float(np.linalg.norm(diff.b, 2)))
+    return residual <= allowed, residual, allowed
 
 
 def analytically_equivalent(r1, r2, depth=None, tol=1e-9):
-    """Whether all moments agree: b* A^w(units) c matches up to |w| <= depth.
+    """Whether all moments b* A^w(units) c of the two realizations agree
+    through |w| <= ``depth``, by the invariant-subspace test of
+    :func:`compare_moments`.
 
-    ``depth`` defaults to N1 + N2 (a classical heuristic; the theory gives no
-    finite determinacy bound for matrix centres).  The unit sweep is exact
-    while the split ladders fit the column budget (:func:`sweep_fits_budget`);
-    beyond that the test switches to an invariant-subspace criterion on the
-    difference realization, which checks all depths at once: the observable
-    vectors of the difference must annihilate its controllable subspace.
-
-    ``tol`` is relative with a floor of 1 in both branches.  In the sweep
-    the largest moment deviation at each word length must stay below
-    ``tol * max(1, s)``, s the largest moment norm of that length in either
-    realization, so roundoff in large deep moments is not mistaken for a
-    difference and small short moments are still compared absolutely.  In
-    the subspace branch the residual must stay below ``tol * max(1, ||b||)``
-    for the output vectors b of the difference realization.
+    ``depth`` caps the words that span the tested subspace.  Its default,
+    N1 + N2, saturates that subspace, so the default verdict covers every
+    depth.  ``tol`` is relative with a floor of 1: the residual must stay
+    below ``tol * max(1, ||b||)`` for the output vectors b of the difference
+    realization.
     """
     if depth is None:
         depth = r1.N + r2.N

@@ -25,6 +25,7 @@ from .core import (
     encode_complex,
     passes_invertibility,
     read_json,
+    require_nonnegative,
 )
 from .linmap import cb_row_norm_bound
 from .realization import (
@@ -49,7 +50,7 @@ from .parser import parse, realize_expression
 
 log = logging.getLogger("ncreal")
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _emit(report):
@@ -132,15 +133,14 @@ def cmd_minimize(args):
 
 
 def cmd_certify(args):
+    require_nonnegative("tol", args.tol)
     r = _as_descriptor(load_realization(args.real_file))
     minimized = kalman_minimize(r)
     residual = llac_residual(minimized)
-    depth = args.depth if args.depth is not None else 2 * max(1, minimized.N)
     _emit({
         "minimal": is_minimal(r),
         "lac_residual": residual,
         "is_nc_function": residual <= args.tol,
-        "moment_depth": depth,
     })
     return 0
 
@@ -164,12 +164,12 @@ def cmd_equiv(args):
     r1 = _as_descriptor(load_realization(args.real_file_1))
     r2 = _as_descriptor(load_realization(args.real_file_2))
     depth = args.depth if args.depth is not None else r1.N + r2.N
-    equivalent, deviation = compare_moments(r1, r2, depth, args.tol)
+    equivalent, residual, allowed = compare_moments(r1, r2, depth, args.tol)
     _emit({
         "equivalent": bool(equivalent),
         "depth": depth,
-        "mode": "subspace" if deviation is None else "sweep",
-        "max_deviation": deviation,
+        "residual": residual,
+        "allowed": allowed,
     })
     return 0
 
@@ -248,7 +248,6 @@ def _build_parser():
     p.add_argument("real_file")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="largest Lost-Abbey residual of an NC function")
-    p.add_argument("--depth", type=int, default=None, help="moment depth override")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("translate", help="re-centre a realization at a domain point")
@@ -261,12 +260,12 @@ def _build_parser():
     p.add_argument("real_file_1")
     p.add_argument("real_file_2")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="relative tolerance: in sweep mode the moment deviation "
-                        "at each word length must stay below tol * max(1, largest "
-                        "moment norm of that length); in subspace mode the residual "
-                        "below tol * max(1, ||b||) of the difference realization")
+                   help="relative tolerance: the residual ||b* V|| of the difference "
+                        "realization's output vectors b on the span V of its words up "
+                        "to --depth must stay below tol * max(1, ||b||)")
     p.add_argument("--depth", type=int, default=None,
-                   help="moment depth (default N1 + N2)")
+                   help="compare the moments of words up to this length "
+                        "(default N1 + N2, which covers every length)")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("fock", help="canonical realization of a truncated Fock vector")

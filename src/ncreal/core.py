@@ -39,6 +39,7 @@ __all__ = [
     "singular_value_range",
     "passes_invertibility",
     "require_invertible",
+    "require_nonnegative",
     "invert_checked",
     "solve_refined",
     "encode_complex",
@@ -71,7 +72,7 @@ def _as_complex(a, name="matrix"):
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError("%s must be two-dimensional, got shape %s" % (name, arr.shape))
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("%s contains non-finite entries" % name)
     return arr
 
@@ -94,6 +95,12 @@ def require_invertible(m, message):
     smin, smax = singular_value_range(m)
     if not passes_invertibility(smin, smax):
         raise SingularMatrixError(message % smin, sigma_min=smin)
+
+
+def require_nonnegative(name, value):
+    """Raise ValueError unless ``value`` is finite and at least 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("%s must be finite and non-negative, got %r" % (name, value))
 
 
 def invert_checked(m, what="matrix"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +20,7 @@ from ncreal.core import (
     apply_similarity,
     matrix_units,
 )
+from ncreal.parser import parse, realize_expression
 from ncreal.linmap import MatrixLinearMap, ampliated_apply
 from ncreal.realization import (
     DescriptorRealization,
@@ -31,6 +34,7 @@ from ncreal.analysis import (
     SWEEP_COLUMN_BUDGET,
     _block_frobenius_max,
     analytically_equivalent,
+    _difference_realization,
     compare_moments,
     controllable_basis,
     is_minimal,
@@ -418,8 +422,8 @@ class TestAnalyticEquivalence:
         assert not analytically_equivalent(c1, c2)
 
     def test_subspace_fallback_on_deep_requests(self):
-        # default depth N1 + N2 exceeds the sweep budget here, exercising the
-        # invariant-subspace path in both directions
+        # 24 states against 12 at the default depth N1 + N2, where the
+        # invariant-subspace test saturates; one verdict each way
         rng = np.random.default_rng(25)
         r = random_descriptor(rng, 2, 12, 2, scale=0.4)
         both = direct_sum_desc(r, r)
@@ -467,6 +471,122 @@ class TestAnalyticEquivalence:
         assert not analytically_equivalent(big, shifted, depth=depth, tol=1e-10)
 
 
+def unit_moment_oracle(r1, r2, depth):
+    """Exact per-length figures from realization.moment over every word and
+    unit-argument tuple: the largest moment norm of either realization and
+    the largest deviation, both Frobenius, for each length 0..depth."""
+    units = [e for _, _, e in matrix_units(r1.n)]
+    size = np.zeros(depth + 1)
+    dev = np.zeros(depth + 1)
+    for ell in range(depth + 1):
+        for word in itertools.product(range(1, r1.d + 1), repeat=ell):
+            for args in itertools.product(units, repeat=ell):
+                m1 = moment(r1, word, list(args))
+                m2 = moment(r2, word, list(args))
+                size[ell] = max(size[ell], np.linalg.norm(m1), np.linalg.norm(m2))
+                dev[ell] = max(dev[ell], np.linalg.norm(m1 - m2))
+    return size, dev
+
+
+def single_length_realization(n, d, y, ell, b_row):
+    """Every unit moment of length ``ell`` is conj(b_row)^T [1, 0, ..., 0];
+    all other moments vanish (a chain of ell + 1 states shifted by every
+    matrix unit of every letter)."""
+    a = np.zeros((d, n, n, ell + 1, ell + 1), dtype=complex)
+    a[..., np.arange(1, ell + 1), np.arange(ell)] = 1.0
+    b = np.zeros((ell + 1, n), dtype=complex)
+    b[ell] = b_row
+    c = np.zeros((ell + 1, n), dtype=complex)
+    c[0, 0] = 1.0
+    return DescriptorRealization(MatrixLinearMap(a), b, c, y)
+
+
+class TestEquivalenceCriterion:
+    """The invariant-subspace test is the one equivalence decision."""
+
+    ORACLE_DEPTH = 3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_agrees_with_the_exact_moment_oracle(self, n):
+        rng = np.random.default_rng(40 + n)
+        r = random_descriptor(rng, n, 3, 2, scale=0.5)
+        junk = random_descriptor(rng, n, 2, 2, scale=0.5, y=r.Y)
+        padded = direct_sum_desc(r, DescriptorRealization(junk.A, 0 * junk.b, junk.c, r.Y))
+        size, _ = unit_moment_oracle(r, r, self.ORACLE_DEPTH)
+        pairs = [(conjugated_realization(r, random_invertible(rng, r.N)), -1),
+                 (padded, -1)]
+        for ell in range(self.ORACLE_DEPTH + 1):
+            # a relative 1e-6 change of every unit moment of length ell
+            row = cmat(rng, 1, n)[0]
+            row *= 1e-6 * max(1.0, size[ell]) / np.linalg.norm(row)
+            extra = single_length_realization(n, 2, r.Y, ell, row)
+            pairs.append((direct_sum_desc(padded, extra), ell))
+        for r2, changed in pairs:
+            size2, dev = unit_moment_oracle(r, r2, self.ORACLE_DEPTH)
+            ok = dev <= 1e-9 * np.maximum(1.0, size2)
+            oracle = [bool(np.all(ok[:depth + 1])) for depth in range(len(ok))]
+            assert oracle == [changed < 0 or depth < changed for depth in range(len(ok))]
+            for depth, expected in enumerate(oracle):
+                verdict, residual, allowed = compare_moments(r, r2, depth, 1e-9)
+                assert verdict is expected
+                assert verdict == (residual <= allowed)
+
+    def test_depth_caps_the_word_length(self):
+        y = CentrePoint([np.zeros((1, 1)), np.zeros((1, 1))])
+        r1, r2 = (fm_to_desc(realize_expression(parse(text, 2), y))
+                  for text in ("x2 + x1*x2", "x2 + x1*x2 + x1*x2*x1"))
+        assert analytically_equivalent(r1, r2, depth=2)
+        assert not analytically_equivalent(r1, r2, depth=3)
+        assert not analytically_equivalent(r1, r2)
+
+    def test_deep_pair_decided_without_a_sweep(self, monkeypatch):
+        def no_ladders(*args):
+            raise AssertionError("equivalence built moment ladders")
+
+        monkeypatch.setattr(analysis, "_ladders", no_ladders)
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        y = CentrePoint([e12, e12.T])
+        r1, r2 = (fm_to_desc(realize_expression(parse(text, 2), y))
+                  for text in ("inv(x1 + 2.5)", "inv(x2 + 2.5)"))
+        assert not analytically_equivalent(r1, r2)
+        both = direct_sum_desc(r1, r1)
+        assert analytically_equivalent(both, kalman_minimize(both))
+
+    def test_compare_moments_reports_the_margin(self):
+        rng = np.random.default_rng(33)
+        r = random_descriptor(rng, 2, 3, 2, scale=0.5)
+        both = direct_sum_desc(r, r)
+        other = random_descriptor(rng, 2, 3, 2, scale=0.5, y=r.Y)
+        n, depth = both.n, 4
+        for r2, expected in ((kalman_minimize(both), True), (other, False)):
+            verdict, residual, allowed = compare_moments(both, r2, depth, 1e-9)
+            assert verdict is expected
+            assert verdict == (residual <= allowed)
+            assert verdict == analytically_equivalent(both, r2, depth=depth, tol=1e-9)
+            diff = _difference_realization(both, r2)
+            assert allowed == 1e-9 * max(1.0, np.linalg.norm(diff.b, 2))
+            # residual = ||b* V||_2 bounds every unit moment deviation through
+            # depth by residual * ||A^w(units) c||_F
+            gens = [u for _, u in diff.A.iter_units()]
+            ladder = [diff.c]
+            for _ in range(depth):
+                ladder.append(np.hstack([g @ ladder[-1] for g in gens]))
+            reach = max(np.linalg.norm(rung[:, k:k + n])
+                        for rung in ladder for k in range(0, rung.shape[1], n))
+            dev = max_moment_deviation(both, r2, depth)
+            assert dev <= residual * reach * (1 + 1e-9) + 1e-13
+            if not expected:
+                assert dev > 1e-3 and residual > 1e3 * allowed
+
+    @pytest.mark.parametrize("depth,tol", [(-1, 1e-9), (2, float("nan")), (2, -1e-9),
+                                           (2, float("inf"))])
+    def test_rejects_negative_depth_and_bad_tolerance(self, depth, tol):
+        rng = np.random.default_rng(35)
+        r = random_descriptor(rng, 1, 2, 2, scale=0.5)
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            compare_moments(r, r, depth, tol)
+
+
 class TestRecoverSimilarity:
     def test_identity_recovery(self):
         rng = np.random.default_rng(26)
@@ -507,18 +627,6 @@ class TestMomentSweep:
         ref = max(np.linalg.norm(m[i:i + n, j:j + n])
                   for i in range(0, 4 * n, n) for j in range(0, 5 * n, n))
         assert _block_frobenius_max(m, n) == pytest.approx(ref, rel=1e-14)
-
-    def test_compare_moments_reports_the_sweep_deviation(self):
-        rng = np.random.default_rng(33)
-        r = random_descriptor(rng, 2, 3, 2, scale=0.5)
-        both = direct_sum_desc(r, r)
-        other = random_descriptor(rng, 2, 3, 2, scale=0.5, y=r.Y)
-        for r2 in (kalman_minimize(both), other):
-            verdict, deviation = compare_moments(both, r2, 4, 1e-9)
-            assert verdict == analytically_equivalent(both, r2, depth=4, tol=1e-9)
-            assert deviation == max_moment_deviation(both, r2, 4)
-        # depth 10 needs 2 * 8^5 ladder columns: subspace mode, no deviation
-        assert compare_moments(both, other, 10, 1e-9) == (False, None)
 
     def test_deviation_refused_past_the_budget(self, monkeypatch):
         def no_ladders(*args):

@@ -11,7 +11,7 @@ from conftest import random_centre
 
 import ncreal
 from ncreal import analysis
-from ncreal.cli import _build_parser, main
+from ncreal.cli import SCHEMA_VERSION, _build_parser, main
 from ncreal.core import CentrePoint, MatrixTuple
 from ncreal.realization import load_realization, save_realization
 from ncreal.fock import TruncatedFockVector
@@ -47,7 +47,7 @@ class TestRealize:
                         workdir / "centre.json", "--out", out_file)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == SCHEMA_VERSION
         assert report["state_dimension"] > 0
         assert report["cb_row_norm_bound"] > 0
         assert report["domain_radius_lower_bound"] == \
@@ -115,8 +115,8 @@ class TestMinimizeCertifyTranslateEquiv:
         code, out = run(capsys, "certify", workdir / "p.json")
         assert code == 0
         report = json.loads(out)
-        assert set(report) >= {"minimal", "lac_residual", "is_nc_function",
-                               "moment_depth"}
+        assert set(report) == {"minimal", "lac_residual", "is_nc_function",
+                               "schema_version"}
         assert report["is_nc_function"] is True
         assert report["lac_residual"] < 1e-9
 
@@ -132,8 +132,11 @@ class TestMinimizeCertifyTranslateEquiv:
                         "--depth", "4")
         assert code == 0
         report = json.loads(out)
-        assert report["equivalent"] is True
-        assert report["max_deviation"] < 1e-10
+        assert set(report) == {"equivalent", "depth", "residual", "allowed",
+                               "schema_version"}
+        assert report["equivalent"] is True and report["depth"] == 4
+        assert report["residual"] <= report["allowed"]
+        assert report["residual"] < 1e-10
 
 
 class TestFockCommand:
@@ -244,7 +247,7 @@ def test_each_command_declares_only_the_options_it_reads():
         "realize": ["--constants", "--out"],
         "eval": [],
         "minimize": ["--depth", "--out"],
-        "certify": ["--depth", "--tol"],
+        "certify": ["--tol"],
         "translate": ["--out"],
         "equiv": ["--depth", "--tol"],
         "fock": ["--out"],
@@ -253,19 +256,6 @@ def test_each_command_declares_only_the_options_it_reads():
 
 
 class TestSingleSweepAndSvd:
-    def test_equiv_sweeps_once(self, workdir, capsys, monkeypatch):
-        run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
-            "--out", workdir / "p.json")
-        run(capsys, "minimize", workdir / "p.json", "--out", workdir / "pmin.json")
-        calls = []
-        ladders = analysis._ladders
-        monkeypatch.setattr(analysis, "_ladders",
-                            lambda r, half: calls.append(r.N) or ladders(r, half))
-        code, out = run(capsys, "equiv", workdir / "p.json", workdir / "pmin.json",
-                        "--depth", "4")
-        assert code == 0 and json.loads(out)["mode"] == "sweep"
-        assert len(calls) == 2  # one ladder pair per realization, one sweep
-
     def test_eval_takes_one_svd_for_flag_and_sigma(self, workdir, capsys, monkeypatch):
         run(capsys, "realize", workdir / "comm.expr", workdir / "centre.json",
             "--out", workdir / "r.json")
@@ -304,6 +294,26 @@ class TestSingleSweepAndSvd:
                       "--out", workdir / "never.json")
         assert code == 2
         assert not (workdir / "never.json").exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["equiv", "p.json", "p.json", "--depth", "-1"], "depth"),
+    (["equiv", "p.json", "p.json", "--tol", "nan"], "tol"),
+    (["equiv", "p.json", "p.json", "--tol", "-1"], "tol"),
+    (["minimize", "p.json", "--depth", "-1", "--out", "never.json"], "depth"),
+    (["certify", "p.json", "--tol", "nan"], "tol"),
+    (["certify", "p.json", "--tol", "-0.5"], "tol"),
+], ids=["equiv-depth", "equiv-tol-nan", "equiv-tol-negative", "minimize-depth",
+        "certify-tol-nan", "certify-tol-negative"])
+def test_bad_depth_or_tolerance_exits_two(workdir, capsys, argv, named):
+    run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+        "--out", workdir / "p.json")
+    code = main([str(workdir / a) if a.endswith(".json") else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: %s must be finite and non-negative, got " % named)
+    assert captured.err.count("\n") == 1
+    assert not (workdir / "never.json").exists()
 
 
 BAD_PAIRS = {"string entry": ["1.0", 2.0], "bare number": 1.0, "short pair": [1.0]}

@@ -209,6 +209,15 @@ def test_nonfinite_entries_rejected():
         MatrixTuple([np.array([[np.nan]])], 1)
 
 
+def test_transposed_components_accepted():
+    # a transposed view is Fortran-ordered; the finiteness check must not need C order
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    y = CentrePoint([e12, e12.T])
+    assert np.array_equal(y.component(2), [[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="finite"):
+        MatrixTuple([np.array([[1.0, np.inf], [0.0, 1.0]]).T], 1)
+
+
 class TestComplexCodec:
     def test_round_trip_is_exact(self):
         a = np.array([[0.1 - 2j, complex(-0.0, 1e-300)], [3, 5e300j]])
