@@ -51,7 +51,6 @@ from .algebra import (
     fm_to_desc,
 )
 from .analysis import (
-    SubspaceBasis,
     analytically_equivalent,
     controllable_basis,
     is_minimal,

@@ -117,19 +117,11 @@ def desc_to_fm(r):
     from .analysis import invariant_subspace  # deferred: analysis imports us
 
     units = [u for _, u in r.A.iter_units()]
-    seed = np.hstack([u @ r.c for u in units]) if units else np.zeros((r.N, 0))
-    v = invariant_subspace(units, seed)
-    k = v.shape[1]
-    d, n = r.d, r.n
-    a = np.empty((d, n, n, k, k), dtype=np.complex128)
-    b = np.empty((d, n, n, k, n), dtype=np.complex128)
+    v = invariant_subspace(units, np.hstack([u @ r.c for u in units]))
     vh = np.conj(v).T
-    for (j, p, q), u in r.A.iter_units():
-        a[j - 1, p, q] = vh @ (u @ v)
-        b[j - 1, p, q] = vh @ (u @ r.c)
-    c = np.conj(r.b).T @ v
-    dmat = np.conj(r.b).T @ r.c
-    return FMRealization(MatrixLinearMap(a), MatrixLinearMap(b), c, dmat, r.Y)
+    bstar = np.conj(r.b).T
+    return FMRealization(r.A.compressed(vh, v), r.A.compressed(vh, r.c), bstar @ v,
+                         bstar @ r.c, r.Y)
 
 
 def fm_to_desc(r):

@@ -5,6 +5,14 @@ the centre, the linearized Lost-Abbey certificate for NC-function-hood,
 jointly nilpotent evaluation points (the moment-extraction oracle),
 analytic equivalence, and recovery of the similarity between minimal
 equivalent realizations.
+
+Controllability, observability, minimality and Kalman compression take one
+path for descriptor and FM realizations alike: the invariant subspace of the
+A-words grown from a seed.  Each realization names its seeds and how it
+restricts to an orthonormal state basis V.  A descriptor realization (A, b, c)
+has controllable seed c and observable seed b, and restricts to
+(V*AV, V*b, V*c).  An FM realization (A, B, C, D) has the columns of every
+B_j(E_pq) and C*, and restricts to (V*AV, V*B, CV, D).
 """
 
 import numpy as np
@@ -15,6 +23,7 @@ from .core import (
     RANK_RTOL,
     CentrePoint,
     MatrixTuple,
+    SingularMatrixError,
     eye_kron,
     require_invertible,
     require_nonnegative,
@@ -22,23 +31,17 @@ from .core import (
 from .linmap import MatrixLinearMap
 from .realization import (
     DescriptorRealization,
-    FMRealization,
+    _decided_pencil,
     check_same_centre,
-    pencil,
     transfer,
 )
 
 __all__ = [
-    "SubspaceBasis",
     "invariant_subspace",
     "controllable_basis",
     "observable_basis",
     "is_minimal",
     "kalman_minimize",
-    "fm_controllable_basis",
-    "fm_observable_basis",
-    "is_minimal_fm",
-    "kalman_minimize_fm",
     "translate",
     "llac_residual",
     "is_nc_function",
@@ -58,25 +61,6 @@ SWEEP_COLUMN_BUDGET = 40000
 # this small keep each product and its block norms in cache; 10^7-entry chunks
 # ran about 1.5x slower.
 SWEEP_CHUNK_ENTRIES = 300000
-
-
-class SubspaceBasis:
-    """An orthonormal basis of a subspace of the state space C^N."""
-
-    def __init__(self, ambient_dim, basis):
-        basis = np.asarray(basis, dtype=np.complex128)
-        if basis.shape[0] != ambient_dim:
-            raise ValueError("basis rows %d do not match ambient dimension %d"
-                             % (basis.shape[0], ambient_dim))
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-    def __repr__(self):
-        return "SubspaceBasis(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
 
 
 def _orth(m, tol=RANK_RTOL):
@@ -119,88 +103,40 @@ def invariant_subspace(generators, seed, tol=RANK_RTOL, steps=None):
 
 
 def controllable_basis(r):
-    """Orthonormal basis of C_{A,c}, the span of all Ran A^w(units) c."""
-    gens = [u for _, u in r.A.iter_units()]
-    return SubspaceBasis(r.N, invariant_subspace(gens, r.c))
+    """Orthonormal N x k basis of the controllable subspace: the span of all
+    A^w(units) applied to the realization's controllable seed."""
+    return invariant_subspace([u for _, u in r.A.iter_units()], r.controllable_seed)
 
 
 def observable_basis(r):
-    """Orthonormal basis of O_{A-adjoint, b}, built from adjoint generators."""
-    gens = [_adj(u) for _, u in r.A.iter_units()]
-    return SubspaceBasis(r.N, invariant_subspace(gens, r.b))
+    """Orthonormal N x k basis of the observable subspace: the span of all
+    adjoint words applied to the realization's observable seed."""
+    return invariant_subspace([_adj(u) for _, u in r.A.iter_units()], r.observable_seed)
 
 
 def is_minimal(r):
     """Controllable and observable: both subspaces fill the state space."""
     if r.N == 0:
         return True
-    if controllable_basis(r).dim != r.N:
+    if controllable_basis(r).shape[1] != r.N:
         return False
-    return observable_basis(r).dim == r.N
-
-
-def _minimal_subspace_basis(units, vc, b):
-    """Minimal subspace C ominus (C cap O-perp) in ambient coordinates.
-
-    Equals the observable subspace of the realization restricted to the
-    A-invariant controllable subspace, so it is computed entirely inside the
-    controllable coordinates (cheap even when the ambient space is huge).
-    """
-    restricted = [np.conj(vc).T @ (u @ vc) for u in units]
-    vo = invariant_subspace([_adj(u) for u in restricted], np.conj(vc).T @ b)
-    return vc @ vo
+    return observable_basis(r).shape[1] == r.N
 
 
 def kalman_minimize(r):
-    """Compress (A, b, c) to the minimal subspace; all moments are preserved."""
-    units = [u for _, u in r.A.iter_units()]
-    vc = invariant_subspace(units, r.c)
-    vm = _minimal_subspace_basis(units, vc, r.b)
-    k = vm.shape[1]
-    d, n = r.d, r.n
-    vh = np.conj(vm).T
-    a = np.empty((d, n, n, k, k), dtype=np.complex128)
-    for (j, p, q), u in r.A.iter_units():
-        a[j - 1, p, q] = vh @ (u @ vm)
-    return DescriptorRealization(MatrixLinearMap(a), vh @ r.b, vh @ r.c, r.Y)
+    """Compress the realization to its minimal subspace; all moments are preserved.
 
-
-def fm_controllable_basis(r):
-    """FM controllable subspace: span of all Ran A^w(units) B_j(units)."""
-    gens = [u for _, u in r.A.iter_units()]
-    seeds = [bu for _, bu in r.B.iter_units()]
-    seed = np.hstack(seeds) if seeds else np.zeros((r.N, 0))
-    return SubspaceBasis(r.N, invariant_subspace(gens, seed))
-
-
-def fm_observable_basis(r):
-    gens = [_adj(u) for _, u in r.A.iter_units()]
-    return SubspaceBasis(r.N, invariant_subspace(gens, np.conj(r.C).T))
-
-
-def is_minimal_fm(r):
-    if r.N == 0:
-        return True
-    if fm_controllable_basis(r).dim != r.N:
-        return False
-    return fm_observable_basis(r).dim == r.N
-
-
-def kalman_minimize_fm(r):
-    """FM analogue of the Kalman compression (same semi-invariance argument)."""
-    units = [u for _, u in r.A.iter_units()]
-    vc = fm_controllable_basis(r).basis
-    vm = _minimal_subspace_basis(units, vc, np.conj(r.C).T)
-    k = vm.shape[1]
-    d, n = r.d, r.n
-    vh = np.conj(vm).T
-    a = np.empty((d, n, n, k, k), dtype=np.complex128)
-    b = np.empty((d, n, n, k, n), dtype=np.complex128)
-    for (j, p, q), u in r.A.iter_units():
-        a[j - 1, p, q] = vh @ (u @ vm)
-    for (j, p, q), bu in r.B.iter_units():
-        b[j - 1, p, q] = vh @ bu
-    return FMRealization(MatrixLinearMap(a), MatrixLinearMap(b), r.C @ vm, r.D, r.Y)
+    The minimal subspace C ominus (C cap O-perp) is the observable subspace
+    of the realization restricted to the A-invariant controllable subspace C,
+    so it is computed inside the controllable coordinates (cheap even when
+    the ambient space is huge).
+    """
+    vc = controllable_basis(r)
+    vch = np.conj(vc).T
+    inner = r.A.compressed(vch, vc)
+    vo = invariant_subspace([_adj(u) for _, u in inner.iter_units()],
+                            vch @ r.observable_seed)
+    return r.restricted(vc @ vo)
 
 
 def translate(r, x):
@@ -208,12 +144,15 @@ def translate(r, x):
 
     Returns (A', b', c') about the centre X (size mn, state mN) with
     A'_j(G) = L_A(X - I_m (x) Y)^{-1} (id_m (x) A_j)(G), b' = I_m (x) b and
-    c' = L_A(X - I_m (x) Y)^{-1} (I_m (x) c).
+    c' = L_A(X - I_m (x) Y)^{-1} (I_m (x) c).  The evaluation kernel decides
+    the domain; outside it, SingularMatrixError carries the pencil's sigma_min.
     """
     m, n, nstate = x.level_m, r.n, r.N
-    p = pencil(r, x)
-    require_invertible(p, "cannot translate: point outside the invertibility domain "
-                          "(pencil sigma_min = %.3e)")
+    p, verdict = _decided_pencil(r, x)
+    if not verdict.in_domain:
+        raise SingularMatrixError("cannot translate: point outside the invertibility "
+                                  "domain (pencil sigma_min = %.3e)" % verdict.sigma_min,
+                                  sigma_min=verdict.sigma_min)
     lam = np.linalg.inv(p)
     units = r.A.dense()
     mn = m * n

@@ -7,9 +7,17 @@ domain sampler emits CSV.  Exit codes: 0 success, 2 user-input error
 failure (singular pencil or centre value).  An error is reported as one
 line on standard error, ``error: <message>``; NCREAL_LOG=DEBUG adds its
 traceback.  A fixed --seed makes every sampling command bit-reproducible.
+
+``eval`` reports the margin of its domain decision: ``decided_by`` is
+"certificate" when ``sigma_min`` and ``sigma_max`` are certified bounds on the
+pencil's singular values and "svd" when they are exact, and the point lies in
+the domain when sigma_min > ``allowed`` = INVERTIBILITY_RTOL * max(1,
+sigma_max).  ``certify`` reports ``minimal`` when Kalman minimization keeps
+the whole state space.
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -18,6 +26,7 @@ import sys
 import numpy as np
 
 from .core import (
+    INVERTIBILITY_RTOL,
     MatrixTuple,
     SingularMatrixError,
     ampliate,
@@ -39,7 +48,6 @@ from .realization import (
 from .algebra import fm_to_desc
 from .analysis import (
     compare_moments,
-    is_minimal,
     kalman_minimize,
     llac_residual,
     max_moment_deviation,
@@ -50,7 +58,7 @@ from .parser import parse, realize_expression
 
 log = logging.getLogger("ncreal")
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def _emit(report):
@@ -108,13 +116,15 @@ def cmd_eval(args):
     if x.base_n != r.n:
         x = x.rebased(r.n)
     e = evaluate(r, x)
-    # the report gives the exact sigma_min: one SVD, the kernel's if it took one
-    smin = e.sigma_min if e.decided_by == "svd" else pencil_sigma(r, x)[0]
-    if not e.in_domain:
-        _emit({"in_domain": False, "pencil_sigma_min": smin, "value": None})
-        return 3
-    _emit({"in_domain": True, "pencil_sigma_min": smin, "value": _matrix_json(e.value)})
-    return 0
+    _emit({
+        "in_domain": e.in_domain,
+        "decided_by": e.decided_by,
+        "sigma_min": e.sigma_min,
+        "sigma_max": e.sigma_max,
+        "allowed": INVERTIBILITY_RTOL * max(1.0, e.sigma_max),
+        "value": _matrix_json(e.value) if e.in_domain else None,
+    })
+    return 0 if e.in_domain else 3
 
 
 def cmd_minimize(args):
@@ -138,7 +148,7 @@ def cmd_certify(args):
     minimized = kalman_minimize(r)
     residual = llac_residual(minimized)
     _emit({
-        "minimal": is_minimal(r),
+        "minimal": minimized.N == r.N,
         "lac_residual": residual,
         "is_nc_function": residual <= args.tol,
     })
@@ -217,6 +227,7 @@ def cmd_domain_sample(args):
     return 0
 
 
+@functools.cache  # built once per process: one build costs about 50 parses
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="ncreal",
@@ -232,7 +243,8 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_realize)
 
-    p = sub.add_parser("eval", help="evaluate a realization at a point")
+    p = sub.add_parser("eval", help="evaluate a realization at a point, with the domain "
+                       "decision's margin (decided_by, sigma_min, sigma_max, allowed)")
     p.add_argument("real_file")
     p.add_argument("point_file")
     p.set_defaults(func=cmd_eval)

@@ -139,6 +139,20 @@ class MatrixLinearMap:
             out[j - 1, p, q] = m.toarray()
         return out
 
+    def compressed(self, left, right=None):
+        """The dense map G -> left A_j(G) right, one product per matrix unit.
+
+        Each unit is computed as ``left @ (A_j(E_pq) @ right)``, or ``left @
+        A_j(E_pq)`` when ``right`` is None.  A sparse map is never densified:
+        its units multiply the dense factors directly.
+        """
+        rows = left.shape[0]
+        cols = self.out_cols if right is None else right.shape[1]
+        out = np.empty((self.d, self.n, self.n, rows, cols), dtype=np.complex128)
+        for (j, p, q), u in self.iter_units():
+            out[j - 1, p, q] = left @ u if right is None else left @ (u @ right)
+        return MatrixLinearMap(out)
+
     def scaled(self, t):
         if self._dense is not None:
             return MatrixLinearMap(t * self._dense)

@@ -116,6 +116,22 @@ class DescriptorRealization:
     def d(self):
         return self.A.d
 
+    @property
+    def controllable_seed(self):
+        """c: its A-words span the controllable subspace."""
+        return self.c
+
+    @property
+    def observable_seed(self):
+        """b: its adjoint A-words span the observable subspace."""
+        return self.b
+
+    def restricted(self, v):
+        """(V*AV, V*b, V*c) on the span of the orthonormal columns of V."""
+        vh = np.conj(v).T
+        return DescriptorRealization(self.A.compressed(vh, v), vh @ self.b, vh @ self.c,
+                                     self.Y)
+
     def __repr__(self):
         return "DescriptorRealization(N=%d, n=%d, d=%d)" % (self.N, self.n, self.d)
 
@@ -166,6 +182,22 @@ class FMRealization:
     @property
     def d(self):
         return self.A.d
+
+    @property
+    def controllable_seed(self):
+        """The columns of every B_j(E_pq): their A-words span the controllable subspace."""
+        return np.hstack([u for _, u in self.B.iter_units()])
+
+    @property
+    def observable_seed(self):
+        """C*: its adjoint A-words span the observable subspace."""
+        return np.conj(self.C).T
+
+    def restricted(self, v):
+        """(V*AV, V*B, CV, D) on the span of the orthonormal columns of V."""
+        vh = np.conj(v).T
+        return FMRealization(self.A.compressed(vh, v), self.B.compressed(vh), self.C @ v,
+                             self.D, self.Y)
 
     def __repr__(self):
         return "FMRealization(N=%d, n=%d, d=%d)" % (self.N, self.n, self.d)
@@ -354,6 +386,12 @@ def _decide(r, x):
     del t
     smin, smax = singular_value_range(p)
     return h, None, p, Evaluation(None, passes_invertibility(smin, smax), smin, smax, "svd")
+
+
+def _decided_pencil(r, x):
+    """The dense pencil at X and the kernel's verdict on it, with T built once."""
+    _, t, p, verdict = _decide(r, x)
+    return (_identity_minus(_dense(t)) if p is None else p), verdict
 
 
 def evaluate(r, x):

@@ -60,6 +60,17 @@ def random_descriptor(rng, n, N, d, y=None, scale=0.5):
     return DescriptorRealization(a, cmat(rng, N, n), cmat(rng, N, n), y)
 
 
+def direct_sum_desc(r1, r2):
+    """The descriptor realization (A1 (+) A2, b1 (+) b2, c1 (+) c2)."""
+    d, n = r1.d, r1.n
+    n1, n2 = r1.N, r2.N
+    a = np.zeros((d, n, n, n1 + n2, n1 + n2), dtype=complex)
+    a[..., :n1, :n1] = r1.A.dense()
+    a[..., n1:, n1:] = r2.A.dense()
+    return DescriptorRealization(
+        MatrixLinearMap(a), np.vstack([r1.b, r2.b]), np.vstack([r1.c, r2.c]), r1.Y)
+
+
 def random_invertible(rng, size, spread=0.3):
     return np.eye(size, dtype=np.complex128) + cmat(rng, size, size, spread)
 

@@ -17,9 +17,9 @@ from ncreal.algebra import (
     fm_to_desc,
 )
 from ncreal.analysis import (
-    fm_controllable_basis,
-    is_minimal_fm,
-    kalman_minimize_fm,
+    controllable_basis,
+    is_minimal,
+    kalman_minimize,
     max_moment_deviation,
 )
 
@@ -144,11 +144,11 @@ class TestFmInv:
         rng = np.random.default_rng(10)
         y = random_centre(rng, 2, 2)
         for _ in range(5):
-            r = kalman_minimize_fm(sample_fm(rng, y, depth=2))
-            assert is_minimal_fm(r)
+            r = kalman_minimize(sample_fm(rng, y, depth=2))
+            assert is_minimal(r)
             if np.linalg.svd(r.D, compute_uv=False)[-1] < 0.1:
                 continue
-            assert is_minimal_fm(fm_inv(r))
+            assert is_minimal(fm_inv(r))
 
 
 class TestStateDimensionBookkeeping:
@@ -261,15 +261,13 @@ class TestConversions:
                             atol=1e-12)
 
     def test_fm_to_desc_preserves_controllability(self):
-        from ncreal.analysis import controllable_basis
-
         rng = np.random.default_rng(21)
         y = random_centre(rng, 2, 2)
-        r = kalman_minimize_fm(sample_fm(rng, y, depth=2))
-        assert fm_controllable_basis(r).dim == r.N
+        r = kalman_minimize(sample_fm(rng, y, depth=2))
+        assert controllable_basis(r).shape[1] == r.N
         desc = fm_to_desc(r)
         # the computation C_{A-hat,c} = C_{A,B} (+) ran c gives N + n
-        assert controllable_basis(desc).dim == r.N + r.n
+        assert controllable_basis(desc).shape[1] == r.N + r.n
 
 
 class TestHomomorphism:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (
     cmat,
+    direct_sum_desc,
     point_near_centre,
     random_centre,
     random_descriptor,
@@ -56,16 +57,6 @@ def scalar_zero_one_one():
     return DescriptorRealization(amap, np.ones((1, 1)), np.ones((1, 1)), y)
 
 
-def direct_sum_desc(r1, r2):
-    d, n = r1.d, r1.n
-    n1, n2 = r1.N, r2.N
-    a = np.zeros((d, n, n, n1 + n2, n1 + n2), dtype=complex)
-    a[..., :n1, :n1] = r1.A.dense()
-    a[..., n1:, n1:] = r2.A.dense()
-    return DescriptorRealization(
-        MatrixLinearMap(a), np.vstack([r1.b, r2.b]), np.vstack([r1.c, r2.c]), r1.Y)
-
-
 def largest_unit_moment(r, depth):
     """Largest unit-argument moment norm through ``depth``: the deviation
     from a realization of the zero function."""
@@ -95,15 +86,15 @@ class TestSubspaces:
         r = DescriptorRealization(
             MatrixLinearMap(cmat(rng, 2 * 2 * 2 * 3, 3, 0.5).reshape(2, 2, 2, 3, 3)),
             cmat(rng, 3, 2), np.zeros((3, 2)), y)
-        assert controllable_basis(r).dim == 0
+        assert controllable_basis(r).shape[1] == 0
 
     def test_zero_map_full_rank_c(self):
         rng = np.random.default_rng(1)
         y = random_centre(rng, 2, 2)
         c = random_invertible(rng, 2)
         r = DescriptorRealization(MatrixLinearMap.zeros(2, 2, 2), cmat(rng, 2, 2), c, y)
-        assert controllable_basis(r).dim == 2
-        assert observable_basis(r).dim == 2
+        assert controllable_basis(r).shape[1] == 2
+        assert observable_basis(r).shape[1] == 2
 
     def test_direct_sum_block_structure(self):
         # doubling the SAME realization reaches only the diagonal copy of the
@@ -113,18 +104,18 @@ class TestSubspaces:
         rng = np.random.default_rng(2)
         r = kalman_minimize(random_descriptor(rng, 2, 3, 2, scale=0.5))
         both = direct_sum_desc(r, r)
-        assert controllable_basis(both).dim == controllable_basis(r).dim
+        assert controllable_basis(both).shape[1] == controllable_basis(r).shape[1]
         other = kalman_minimize(random_descriptor(rng, 2, 3, 2, scale=0.5, y=r.Y))
         mixed = direct_sum_desc(r, other)
-        assert controllable_basis(mixed).dim == \
-            controllable_basis(r).dim + controllable_basis(other).dim
+        assert controllable_basis(mixed).shape[1] == \
+            controllable_basis(r).shape[1] + controllable_basis(other).shape[1]
         again = kalman_minimize(both)
         assert again.N == r.N
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(3)
         r = random_descriptor(rng, 2, 4, 2, scale=0.5)
-        v = controllable_basis(r).basis
+        v = controllable_basis(r)
         assert_allclose(np.conj(v).T @ v, np.eye(v.shape[1]), atol=1e-12)
 
 
@@ -250,8 +241,11 @@ class TestTranslate:
         amap = MatrixLinearMap(np.ones((1, 1, 1, 1, 1), dtype=complex))
         r = DescriptorRealization(amap, np.ones((1, 1)), np.ones((1, 1)), r.Y)
         bad = MatrixTuple([np.array([[1.0]])], 1)
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="cannot translate: point outside "
+                           r"the invertibility domain \(pencil sigma_min = 0.000e\+00\)"
+                           ) as caught:
             translate(r, bad)
+        assert caught.value.sigma_min == 0.0
 
     def test_domain_identity(self):
         # membership transport: Z in D^X(A') iff Z (read at level km) in D^Y(A)

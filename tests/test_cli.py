@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_centre
+from conftest import direct_sum_desc, random_centre
 
 import ncreal
 from ncreal import analysis
+from ncreal.analysis import is_minimal
 from ncreal.cli import SCHEMA_VERSION, _build_parser, main
-from ncreal.core import CentrePoint, MatrixTuple
+from ncreal.core import INVERTIBILITY_RTOL, CentrePoint, MatrixTuple
 from ncreal.realization import load_realization, save_realization
 from ncreal.fock import TruncatedFockVector
 
@@ -119,6 +120,19 @@ class TestMinimizeCertifyTranslateEquiv:
                                "schema_version"}
         assert report["is_nc_function"] is True
         assert report["lac_residual"] < 1e-9
+
+    def test_certify_reads_minimality_off_the_kalman_pass(self, workdir, capsys):
+        run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+            "--out", workdir / "p.json")
+        run(capsys, "minimize", workdir / "p.json", "--out", workdir / "pmin.json")
+        small = load_realization(workdir / "pmin.json")
+        padded = direct_sum_desc(small, small)
+        save_realization(padded, workdir / "padded.json")
+        for path, minimal in (("pmin.json", True), ("padded.json", False)):
+            code, out = run(capsys, "certify", workdir / path)
+            assert code == 0
+            assert json.loads(out)["minimal"] is minimal
+            assert is_minimal(load_realization(workdir / path)) is minimal
 
     def test_translate_and_equiv(self, workdir, capsys):
         run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
@@ -255,6 +269,21 @@ def test_each_command_declares_only_the_options_it_reads():
     }
 
 
+def test_parser_is_built_once_per_process(workdir, capsys):
+    run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+        "--out", workdir / "p.json")
+    commands = (("eval", workdir / "p.json", workdir / "point.json"),
+                ("certify", workdir / "p.json"),
+                ("equiv", workdir / "p.json", workdir / "p.json"))
+    fresh = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    _build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in commands] == fresh
+    assert _build_parser.cache_info().misses == 1
+
+
 class TestSingleSweepAndSvd:
     def test_eval_takes_one_svd_for_flag_and_sigma(self, workdir, capsys, monkeypatch):
         run(capsys, "realize", workdir / "comm.expr", workdir / "centre.json",
@@ -264,8 +293,15 @@ class TestSingleSweepAndSvd:
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **k: calls.append(1) or svd(*a, **k))
         code, out = run(capsys, "eval", workdir / "r.json", workdir / "point.json")
-        assert code == 0 and json.loads(out)["in_domain"] is True
-        assert len(calls) == 1  # the reported sigma; the kernel certified the solve
+        report = json.loads(out)
+        assert code == 0 and report["in_domain"] is True
+        assert set(report) == {"in_domain", "decided_by", "sigma_min", "sigma_max",
+                               "allowed", "value", "schema_version"}
+        # the report gives the certificate's margin; no SVD is taken
+        assert report["decided_by"] == "certificate"
+        assert report["allowed"] == INVERTIBILITY_RTOL * max(1.0, report["sigma_max"])
+        assert report["sigma_min"] > report["allowed"]
+        assert len(calls) == 0
 
     def test_eval_reuses_the_kernels_svd(self, tmp_path, capsys, monkeypatch):
         CentrePoint([np.zeros((1, 1))]).dump(tmp_path / "y.json")
@@ -278,7 +314,9 @@ class TestSingleSweepAndSvd:
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **k: calls.append(1) or svd(*a, **k))
         code, out = run(capsys, "eval", tmp_path / "r.json", tmp_path / "p.json")
-        assert code == 3 and json.loads(out)["pencil_sigma_min"] < 1e-12
+        report = json.loads(out)
+        assert code == 3 and report["sigma_min"] < 1e-12
+        assert report["decided_by"] == "svd" and report["sigma_min"] <= report["allowed"]
         assert len(calls) == 1  # the certificate cannot fire; its SVD gives the sigma
 
     def test_minimize_refuses_a_depth_past_the_budget(self, workdir, capsys, monkeypatch):
