@@ -337,12 +337,14 @@ def eye_kron(m, mat):
 
 
 def deviation_from_centre(x, y):
-    """X - I_m (x) Y as a matrix tuple at the level of X."""
-    if x.base_n != y.base_n or x.d != y.d:
+    """X - I_m (x) Y as a matrix tuple at the level of X, built and validated once."""
+    if x.base_n != y.base_n or x.d != y.d or y.level_m != 1:
         raise ValueError(
             "point and centre disagree: %s vs %s" % (x._shape_str(), y._shape_str())
         )
-    return x - ampliate(y, x.level_m)
+    m = x.level_m
+    return MatrixTuple([xc - eye_kron(m, yc) for xc, yc in zip(x.components, y.components)],
+                       x.base_n)
 
 
 def column_norm(x):

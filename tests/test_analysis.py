@@ -264,7 +264,46 @@ class TestTranslate:
             checks += 1
 
 
+def lac_oracle(r):
+    """Largest Frobenius residual of the four Lost-Abbey conditions, each
+    written out literally through MatrixLinearMap.apply on explicit units."""
+    bstar, c = np.conj(r.b).T, r.c
+    letters = range(1, r.d + 1)
+    units = [e for _, _, e in matrix_units(r.n)]
+
+    def a(j, g):
+        return r.A.apply(j, g)
+
+    worst = 0.0
+    for t in units:
+        k = sum(a(j, t @ y - y @ t) for j, y in zip(letters, r.Y.components))
+        res = [t @ bstar @ c - bstar @ c @ t - bstar @ k @ c]
+        for i in letters:
+            for h in units:
+                res.append(t @ bstar @ a(i, h) - bstar @ a(i, t @ h) - bstar @ k @ a(i, h))
+                res.append(a(i, h @ t) @ c - a(i, h) @ c @ t - a(i, h) @ k @ c)
+                for j in letters:
+                    for g in units:
+                        res.append(a(i, g @ t) @ a(j, h) - a(i, g) @ a(j, t @ h)
+                                   - a(i, g) @ k @ a(j, h))
+        worst = max(worst, max(float(np.linalg.norm(x)) for x in res))
+    return worst
+
+
 class TestLostAbbey:
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_agrees_with_the_literal_conditions(self, n, d):
+        rng = np.random.default_rng(40 + 2 * n + d)
+        for big_n in range(7):
+            r = random_descriptor(rng, n, big_n, d, scale=0.5)
+            want = lac_oracle(r)
+            assert abs(llac_residual(r) - want) <= 1e-12 * max(1.0, want)
+
+    def test_empty_state_space_gives_zero(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3):
+            assert llac_residual(random_descriptor(rng, n, 0, 2)) == 0.0
+
     def test_scalar_centre_residual_vanishes(self):
         # at n = 1 every commutator [T, Y_j] = 0 and scalars commute
         rng = np.random.default_rng(14)
@@ -596,6 +635,17 @@ class TestRecoverSimilarity:
         s = recover_similarity(r1, r2)
         # the intertwiner sends A1-words on c1 to A2-words on c2: S = S0^{-1}
         assert_allclose(s, np.linalg.inv(s0), atol=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_intertwines_every_coefficient(self, n):
+        rng = np.random.default_rng(36 + n)
+        r1 = kalman_minimize(random_descriptor(rng, n, 3, 2, scale=0.5))
+        r2 = conjugated_realization(r1, random_invertible(rng, r1.N, spread=0.4))
+        s = recover_similarity(r1, r2)
+        assert_allclose(s @ r1.c, r2.c, atol=1e-8)
+        assert_allclose(np.conj(r1.b).T, np.conj(r2.b).T @ s, atol=1e-8)
+        for (j, p, q), a1 in r1.A.iter_units():
+            assert_allclose(s @ a1, r2.A.unit(j, p, q) @ s, atol=1e-8)
 
     def test_non_minimal_rejected(self):
         rng = np.random.default_rng(28)

@@ -180,6 +180,23 @@ class TestEvaluationKernel:
         assert calls == []
         assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_decide_builds_the_deviation_once(self, m, monkeypatch):
+        # H = X - I_m (x) Y is one validated tuple, entry for entry the tuple
+        # difference
+        rng = np.random.default_rng(33)
+        r = random_descriptor(rng, 2, 4, 2, scale=0.5)
+        x = point_near_centre(rng, r.Y, m, 0.1)
+        expected = x - ampliate(r.Y, m)
+        built = []
+        init = MatrixTuple.__init__
+        monkeypatch.setattr(MatrixTuple, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        h = realization._decide(r, x)[0]
+        assert len(built) == 1
+        for got, want in zip(h.components, expected.components):
+            assert np.array_equal(got, want)
+
 
 class TestTransfer:
     def test_zero_one_one_is_constant_one(self):
