@@ -58,6 +58,7 @@ __all__ = [
     "llac_residual",
     "is_nc_function",
     "nilpotent_point",
+    "nilpotent_moment",
     "moment_via_nilpotent",
     "max_moment_deviation",
     "compare_moments",
@@ -269,6 +270,12 @@ def nilpotent_point(y, word, args, r=1.0):
     return MatrixTuple(comps, n)
 
 
+def nilpotent_moment(f, n, ell, r):
+    """The word moment in a value f at a length-ell :func:`nilpotent_point`: its
+    top-right n x n block over r^ell."""
+    return f[0:n, ell * n:(ell + 1) * n] / (r ** ell)
+
+
 def moment_via_nilpotent(rz, word, args, r=1.0):
     """Extract the word moment from one transfer value at a nilpotent point.
 
@@ -276,9 +283,7 @@ def moment_via_nilpotent(rz, word, args, r=1.0):
     at X(w) is unipotent, so no domain condition arises.
     """
     x = nilpotent_point(rz.Y, word, args, r)
-    f = transfer(rz, x)
-    ell, n = len(word), rz.n
-    return f[0:n, ell * n:(ell + 1) * n] / (r ** ell)
+    return nilpotent_moment(transfer(rz, x), rz.n, len(word), r)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +376,18 @@ def compare_moments(r1, r2, depth, tol):
         r1 = kalman_minimize(r1)
     if r2.A.is_sparse:
         r2 = kalman_minimize(r2)
+    return _subspace_test(r1, r2, depth, tol)[:3]
+
+
+def _subspace_test(r1, r2, depth, tol):
+    """The test of :func:`compare_moments` on two checked realizations:
+    (equivalent, residual, allowed, V), with V the tested orthonormal basis."""
     diff = _difference_realization(r1, r2)
     gens = [u for _, u in diff.A.iter_units()]
     v = invariant_subspace(gens, diff.c, steps=depth)
     residual = float(np.linalg.norm(np.conj(diff.b).T @ v, 2)) if v.shape[1] else 0.0
     allowed = tol * max(1.0, float(np.linalg.norm(diff.b, 2)))
-    return residual <= allowed, residual, allowed
+    return residual <= allowed, residual, allowed, v
 
 
 def analytically_equivalent(r1, r2, depth=None, tol=1e-9):
@@ -403,9 +414,12 @@ def recover_similarity(r1, r2):
     {(v, S v)} is the controllable subspace of the difference realization
     (A_1 (+) A_2, c_1 (+) c_2).  That subspace has dimension N exactly when it
     is a graph; with an orthonormal basis V = [V_1; V_2] of it, S = V_2 V_1^{-1}.
-    Raises ValueError on mismatched dimensions, non-minimal or inequivalent
-    inputs, or a subspace that is not N-dimensional, and SingularMatrixError
-    when V_1 or S fails the invertibility test.
+    V is the one the equivalence test of :func:`compare_moments` builds at
+    depth 2N, which saturates it, and tol 1e-9; the inputs are checked to be
+    minimal, so the test skips its Kalman step.  Raises ValueError on
+    mismatched dimensions, non-minimal or inequivalent inputs, or a subspace
+    that is not N-dimensional, and SingularMatrixError when V_1 or S fails
+    the invertibility test.
     """
     check_same_centre(r1, r2)
     nstate = r1.N
@@ -413,9 +427,9 @@ def recover_similarity(r1, r2):
         raise ValueError("state dimensions differ: %d vs %d" % (nstate, r2.N))
     if not (is_minimal(r1) and is_minimal(r2)):
         raise ValueError("both realizations must be minimal")
-    if not analytically_equivalent(r1, r2):
+    equivalent, _, _, v = _subspace_test(r1, r2, 2 * nstate, 1e-9)
+    if not equivalent:
         raise ValueError("realizations are not analytically equivalent")
-    v = controllable_basis(_difference_realization(r1, r2))
     if v.shape[1] != nstate:
         raise ValueError("the intertwining subspace has dimension %d, not %d; the "
                          "realizations do not define the same transfer function"

@@ -35,14 +35,15 @@ from .core import (
     passes_invertibility,
     read_json,
     require_nonnegative,
+    singular_value_range,
 )
 from .linmap import cb_row_norm_bound
 from .realization import (
     FMRealization,
+    _pole_order,
     evaluate,
     load_realization,
-    pencil_sigma,
-    pole_order,
+    pencil,
     save_realization,
 )
 from .algebra import fm_to_desc
@@ -214,10 +215,11 @@ def cmd_domain_sample(args):
             h = h.scaled(1.0 / max(column_norm(h), 1e-300))
             scale = float(10.0 ** rng.uniform(-2.0, 1.0))
             x = y1 + h.scaled(scale)
-        smin, smax = pencil_sigma(r, x)
+        p = pencil(r, x)   # one pencil for the verdict and the pole order
+        smin, smax = singular_value_range(p)
         inside = passes_invertibility(smin, smax)
         rows.append("%d,%.17g,%s,%.17g,%d" % (
-            idx, scale, str(inside).lower(), smin, 0 if inside else pole_order(r, x)))
+            idx, scale, str(inside).lower(), smin, 0 if inside else _pole_order(p)))
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

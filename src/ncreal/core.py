@@ -22,6 +22,7 @@ import scipy.linalg
 import scipy.sparse
 
 __all__ = [
+    "ALLOCATION_CAP",
     "INVERTIBILITY_RTOL",
     "RANK_RTOL",
     "SingularMatrixError",
@@ -40,6 +41,7 @@ __all__ = [
     "passes_invertibility",
     "require_invertible",
     "require_nonnegative",
+    "require_within_cap",
     "invert_checked",
     "solve_refined",
     "encode_complex",
@@ -55,6 +57,10 @@ INVERTIBILITY_RTOL = 1e-12
 
 # Relative rank cutoff used by every orthonormalization / rank decision.
 RANK_RTOL = 1e-10
+
+# Most entries a construction whose size grows exponentially may allocate:
+# 2^22 complex128 entries are 64 MB.  Checked before the allocation.
+ALLOCATION_CAP = 2 ** 22
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -101,6 +107,14 @@ def require_nonnegative(name, value):
     """Raise ValueError unless ``value`` is finite and at least 0."""
     if not (math.isfinite(value) and value >= 0):
         raise ValueError("%s must be finite and non-negative, got %r" % (name, value))
+
+
+def require_within_cap(entries, what):
+    """Raise ValueError when ``entries``, a lower bound on the size of ``what``, exceeds
+    ALLOCATION_CAP."""
+    if entries > ALLOCATION_CAP:
+        raise ValueError("%s would hold at least %d entries, more than the cap of %d"
+                         % (what, entries, ALLOCATION_CAP))
 
 
 def invert_checked(m, what="matrix"):

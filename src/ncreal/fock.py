@@ -7,10 +7,16 @@ E_{al,bl}.  Creation operators that would exceed length L map to zero, which
 makes the adjoint tuple jointly nilpotent and every truncated identity exact
 rather than approximate.
 
+The basis is laid out in degree blocks, l = 0..L.  Block l holds positions
+offset_l + arange(d^l n^{2(l+1)}) as an array with one axis per letter, of
+shape (d,)*l + (n,)*(l+1) + (n,)*(l+1): omega, then alpha, then beta.  Every
+operator reads its targets off these arrays (``_positions``).
+
 Operators are returned as scipy.sparse matrices: the dimension grows like
 n^{2(l+1)} d^l and dense storage dies quickly.
 """
 
+import itertools
 import warnings
 from collections import namedtuple
 from functools import lru_cache
@@ -19,7 +25,8 @@ import numpy as np
 import scipy.sparse
 
 from .core import (ampliate, column_norm, decode_complex, deviation_from_centre,
-                   encode_complex, eye_kron, json_field, read_json, write_json)
+                   encode_complex, eye_kron, json_field, read_json, require_within_cap,
+                   write_json)
 from .linmap import MatrixLinearMap
 from .realization import DescriptorRealization
 
@@ -44,85 +51,75 @@ __all__ = [
 FockBasisIndex = namedtuple("FockBasisIndex", ["alpha", "beta", "omega"])
 
 
-def _words(alphabet, length):
-    if length == 0:
-        return [()]
-    shorter = _words(alphabet, length - 1)
-    return [w + (a,) for w in shorter for a in range(1, alphabet + 1)]
+def fock_dim(n, d, L):
+    return sum(n ** (2 * (ell + 1)) * d ** ell for ell in range(L + 1))
 
 
-@lru_cache(maxsize=None)
-def _basis_cache(n, d, L):
-    indices = []
+@lru_cache(maxsize=8)
+def _positions(n, d, L):
+    """The read-only position array of each degree block, indexed by 0-based letters."""
+    pos = []
     for ell in range(L + 1):
-        for omega in _words(d, ell):
-            for alpha in _words(n, ell + 1):
-                for beta in _words(n, ell + 1):
-                    indices.append(FockBasisIndex(alpha, beta, omega))
-    position = {idx: k for k, idx in enumerate(indices)}
-    return tuple(indices), position
+        block = fock_dim(n, d, ell - 1) + np.arange(d ** ell * n ** (2 * ell + 2))
+        block = block.reshape((d,) * ell + (n,) * (2 * ell + 2))
+        block.flags.writeable = False
+        pos.append(block)
+    return tuple(pos)
 
 
 def fock_basis(n, d, L):
     """All basis indices with |omega| <= L, ordered by degree then lexicographically."""
-    return list(_basis_cache(n, d, L)[0])
+    return [FockBasisIndex(w[ell:2 * ell + 1], w[2 * ell + 1:], w[:ell])
+            for ell, block in enumerate(_positions(n, d, L))
+            for w in itertools.product(*(range(1, size + 1) for size in block.shape))]
 
 
 def basis_position(n, d, L):
     """Mapping FockBasisIndex -> position in the canonical basis order."""
-    return _basis_cache(n, d, L)[1]
+    return {idx: k for k, idx in enumerate(fock_basis(n, d, L))}
 
 
-def fock_dim(n, d, L):
-    return len(_basis_cache(n, d, L)[0])
+def _creation_targets(n, d, L, a, b, w, last):
+    """Targets of the basis vectors below degree L under the creation operator
+    that adds the letters a, b, w to alpha, beta, omega: last in each word, or first."""
+    pos = _positions(n, d, L)
+    targets = [np.zeros(0, dtype=pos[0].dtype)]
+    for ell in range(L):
+        omega, word = (slice(None),) * ell, (slice(None),) * (ell + 1)
+        if last:
+            fixed = omega + (w - 1,) + word + (a - 1,) + word + (b - 1,)
+        else:
+            fixed = (w - 1,) + omega + (a - 1,) + word + (b - 1,) + word
+        targets.append(pos[ell + 1][fixed].ravel())
+    return np.concatenate(targets)
 
 
-def _shift_matrix(n, d, L, image_of):
-    """Sparse matrix of a basis map ``index -> index or None`` (None truncates)."""
-    indices, position = _basis_cache(n, d, L)
-    rows, cols = [], []
-    for k, idx in enumerate(indices):
-        target = image_of(idx)
-        if target is None:
-            continue
-        pos = position.get(target)
-        if pos is not None:
-            rows.append(pos)
-            cols.append(k)
-    dim = len(indices)
-    data = np.ones(len(rows), dtype=np.complex128)
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+def _shift_matrix(dim, targets):
+    """The sparse 0/1 matrix sending basis vector k to targets[k], and the rest to 0."""
+    data = np.ones(len(targets), dtype=np.complex128)
+    return scipy.sparse.csr_matrix((data, (targets, np.arange(len(targets)))),
+                                   shape=(dim, dim))
 
 
 def left_creation(n, d, L, i, j, k):
     """L_{i,j;k}: E_{alpha,beta} * e_omega -> E_{i alpha, j beta} * e_{k omega}."""
-
-    def image(idx):
-        if len(idx.omega) + 1 > L:
-            return None
-        return FockBasisIndex((i,) + idx.alpha, (j,) + idx.beta, (k,) + idx.omega)
-
-    return _shift_matrix(n, d, L, image)
+    return _shift_matrix(fock_dim(n, d, L), _creation_targets(n, d, L, i, j, k, last=False))
 
 
 def right_creation(n, d, L, a, b, w):
     """R_{a,b;w}: E_{alpha,beta} * e_omega -> E_{alpha a, beta b} * e_{omega w}."""
-
-    def image(idx):
-        if len(idx.omega) + 1 > L:
-            return None
-        return FockBasisIndex(idx.alpha + (a,), idx.beta + (b,), idx.omega + (w,))
-
-    return _shift_matrix(n, d, L, image)
+    return _shift_matrix(fock_dim(n, d, L), _creation_targets(n, d, L, a, b, w, last=True))
 
 
 def flip_unitary(n, d, L):
     """The word-transposing involution E_{a,b} * e_w -> E_{a^t,b^t} * e_{w^t}."""
-
-    def image(idx):
-        return FockBasisIndex(idx.alpha[::-1], idx.beta[::-1], idx.omega[::-1])
-
-    return _shift_matrix(n, d, L, image)
+    targets = []
+    for ell, block in enumerate(_positions(n, d, L)):
+        # reverse the axes inside each word: omega, alpha, then beta
+        axes = [*range(ell - 1, -1, -1), *range(2 * ell, ell - 1, -1),
+                *range(3 * ell + 1, 2 * ell, -1)]
+        targets.append(block.transpose(axes).ravel())
+    return _shift_matrix(fock_dim(n, d, L), np.concatenate(targets))
 
 
 class TruncatedFockVector:
@@ -162,17 +159,12 @@ class TruncatedFockVector:
                          if len(k.omega) == ell))
 
     def to_dense(self):
-        position = basis_position(self.n, self.d, self.L)
+        pos = _positions(self.n, self.d, self.L)
         vec = np.zeros(fock_dim(self.n, self.d, self.L), dtype=np.complex128)
         for idx, val in self.coeffs.items():
-            vec[position[idx]] = val
+            letters = tuple(k - 1 for k in idx.omega + idx.alpha + idx.beta)
+            vec[pos[len(idx.omega)][letters]] = val
         return vec
-
-    @classmethod
-    def from_dense(cls, n, d, L, vec, tol=0.0):
-        indices = fock_basis(n, d, L)
-        coeffs = {idx: z for idx, z in zip(indices, vec) if abs(z) > tol}
-        return cls(n, d, L, coeffs)
 
     def scaled_by_degree(self, r):
         """Dilation: multiply every degree-l coefficient by r^l."""
@@ -218,18 +210,18 @@ class TruncatedFockVector:
         return cls.from_json(read_json(path))
 
 
-def _unit(n, i, j):
-    e = np.zeros((n, n), dtype=np.complex128)
-    e[i - 1, j - 1] = 1.0
-    return e
+def _matrix_units(n):
+    """units[p - 1, q - 1] is the matrix unit E_pq of C^{n x n}."""
+    return np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)
 
 
 def _basis_evaluation(idx, h_components, n, m):
     """E_{alpha,beta} * e_omega evaluated on a deviation tuple H (level m)."""
-    out = eye_kron(m, _unit(n, idx.alpha[0], idx.beta[0]))
+    units = _matrix_units(n)
+    out = eye_kron(m, units[idx.alpha[0] - 1, idx.beta[0] - 1])
     for s, w in enumerate(idx.omega, start=1):
         out = out @ h_components[w - 1]
-        out = out @ eye_kron(m, _unit(n, idx.alpha[s], idx.beta[s]))
+        out = out @ eye_kron(m, units[idx.alpha[s] - 1, idx.beta[s] - 1])
     return out
 
 
@@ -287,45 +279,38 @@ def fock_realization(h, y, scale=1.0):
     the degree-l coefficients by scale^l.  The truncated adjoint creation
     tuple is jointly nilpotent, so the pencil is unipotent: the transfer
     equals :func:`eval_fock` exactly, at points of every norm.
+
+    Each A_k(E_pq) is one CSR matrix read off the right-creation targets.  When
+    d n^3 fock_dim, a bound on A's nonzeros, exceeds ALLOCATION_CAP: ValueError.
     """
     n, d, L = h.n, h.d, h.L
     if y.base_n != n or y.d != d:
         raise ValueError("centre does not match the Fock data")
-    dim = fock_dim(n, d, L)
-    rstar = {}
-    for q in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, d + 1):
-                rstar[(q, j, k)] = right_creation(n, d, L, q, j, k).conj().T.tocsr()
-
-    units = []
-    for k in range(1, d + 1):
-        comp = []
-        for p in range(1, n + 1):
-            row = []
-            for q in range(1, n + 1):
-                # A_k(E_pq) = sum_j E_pj (x) R*_{qj;k}
-                acc = None
-                for j in range(1, n + 1):
-                    block = scipy.sparse.kron(
-                        scipy.sparse.csr_matrix(_unit(n, p, j)), rstar[(q, j, k)],
-                        format="csr")
-                    acc = block if acc is None else acc + block
-                row.append(acc / scale)
-            comp.append(row)
-        units.append(comp)
+    what, dim = "the Fock realization at (n, d, L) = (%d, %d, %d)" % (n, d, L), 0
+    for ell in range(L + 1):   # degree by degree: a huge L is refused, never summed
+        dim += n ** (2 * (ell + 1)) * d ** ell
+        require_within_cap(d * n ** 3 * dim, what)
+    units = [[[None] * n for _ in range(n)] for _ in range(d)]
+    for k, q in itertools.product(range(d), range(n)):
+        # A_k(E_pq) = sum_j E_pj (x) R*_{qj;k}: row (p-1) dim + source, column
+        # (j-1) dim + its right-creation target
+        targets = [_creation_targets(n, d, L, q + 1, j + 1, k + 1, last=True)
+                   for j in range(n)]
+        sources = np.tile(np.arange(len(targets[0])), n)
+        cols = np.concatenate([j * dim + t for j, t in enumerate(targets)])
+        data = np.full(len(cols), 1.0 / scale, dtype=np.complex128)
+        for p in range(n):
+            units[k][p][q] = scipy.sparse.csr_matrix((data, (p * dim + sources, cols)),
+                                                     shape=(n * dim, n * dim))
     a = MatrixLinearMap(units)
 
-    h_scaled = h.scaled_by_degree(scale)
-    c = np.kron(np.eye(n), h_scaled.to_dense()[:, None])
-
-    position = basis_position(n, d, L)
+    # np.kron, not eye_kron: the signs of its zeros reach the saved file's bytes
+    c = np.kron(np.eye(n), h.scaled_by_degree(scale).to_dense()[:, None])
+    # b*(e_j (x) vacuum_{i,j}) = e_i, where vacuum[i - 1, j - 1] is E_ij * e_0
+    vacuum = _positions(n, d, L)[0]
+    i, j = np.indices((n, n))
     bstar = np.zeros((n, n * dim), dtype=np.complex128)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            vac = position[FockBasisIndex((i,), (j,), ())]
-            # b*(e_j (x) vacuum_{i,j}) = e_i
-            bstar[i - 1, (j - 1) * dim + vac] = 1.0
+    bstar[i, j * dim + vacuum] = 1.0
     b = np.conj(bstar).T
     return DescriptorRealization(a, b, c, y)
 
@@ -366,9 +351,10 @@ def coeffs_from_nc_function(func, y, L, r=1.0):
     point, then converted to h_{alpha,beta;omega} coordinates through the
     matrix-unit expansion of the word coefficient maps.
     """
-    from .analysis import nilpotent_point
+    from .analysis import nilpotent_moment, nilpotent_point
 
     n, d = y.base_n, y.d
+    units, letters = _matrix_units(n), range(1, n + 1)
     coeffs = {}
 
     f0 = np.asarray(func(ampliate(y, 1)), dtype=np.complex128)
@@ -381,15 +367,13 @@ def coeffs_from_nc_function(func, y, L, r=1.0):
             if val != 0:
                 coeffs[((a,), (b,), ())] = val
 
-    words = [()]
     for ell in range(1, L + 1):
-        words = [w + (k,) for w in words for k in range(1, d + 1)]
-        for omega in words:
+        for omega in itertools.product(range(1, d + 1), repeat=ell):
             # f_omega on units: h_{alpha,beta;omega} is the (a0, b_l) entry of
             # f_omega(E_{b0,a1}, E_{b1,a2}, ..., E_{b_{l-1},a_l}).
-            for inner_beta in _words(n, ell):       # (b_0, ..., b_{l-1})
-                for inner_alpha in _words(n, ell):  # (a_1, ..., a_l)
-                    args = [_unit(n, inner_beta[s], inner_alpha[s]) for s in range(ell)]
+            for inner_beta in itertools.product(letters, repeat=ell):       # b_0..b_{l-1}
+                for inner_alpha in itertools.product(letters, repeat=ell):  # a_1..a_l
+                    args = [units[b - 1, a - 1] for b, a in zip(inner_beta, inner_alpha)]
                     point = nilpotent_point(y, omega, args, r)
                     try:
                         fval = np.asarray(func(point), dtype=np.complex128)
@@ -397,7 +381,7 @@ def coeffs_from_nc_function(func, y, L, r=1.0):
                         raise ValueError(
                             "black-box function failed at the nilpotent point for "
                             "word %r: %s" % (omega, exc)) from exc
-                    block = fval[0:n, ell * n:(ell + 1) * n] / (r ** ell)
+                    block = nilpotent_moment(fval, n, ell, r)
                     for a0 in range(1, n + 1):
                         for bl in range(1, n + 1):
                             val = block[a0 - 1, bl - 1]

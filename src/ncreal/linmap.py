@@ -23,7 +23,8 @@ from itertools import chain
 import numpy as np
 import scipy.sparse
 
-from .core import MatrixTuple, decode_complex, encode_complex, json_field
+from .core import (MatrixTuple, decode_complex, encode_complex, json_field,
+                   require_within_cap)
 
 __all__ = [
     "MatrixLinearMap",
@@ -130,9 +131,11 @@ class MatrixLinearMap:
         return acc
 
     def dense(self):
-        """Materialize the coefficient tensor densely."""
+        """Materialize the coefficient tensor densely (ValueError above ALLOCATION_CAP)."""
         if self._dense is not None:
             return self._dense
+        require_within_cap(self.d * self.n * self.n * self.out_rows * self.out_cols,
+                           "a dense copy of the %d x %d map" % (self.out_rows, self.out_cols))
         out = np.empty((self.d, self.n, self.n, self.out_rows, self.out_cols),
                        dtype=np.complex128)
         for (j, p, q), m in self.iter_units():

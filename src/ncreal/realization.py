@@ -485,8 +485,11 @@ def pole_order(r, x):
     computed as the first k with rank((I - T)^k) = rank((I - T)^{k+1}).
     """
     _, _, m, verdict = _decide(r, x)
-    if verdict.in_domain:
-        return 0
+    return 0 if verdict.in_domain else _pole_order(m)
+
+
+def _pole_order(m):
+    """The rank ladder of :func:`pole_order` on the dense pencil I - T outside the domain."""
     size = m.shape[0]
     norm = np.linalg.norm(m, 2)
     if norm == 0.0:

@@ -647,6 +647,26 @@ class TestRecoverSimilarity:
         for (j, p, q), a1 in r1.A.iter_units():
             assert_allclose(s @ a1, r2.A.unit(j, p, q) @ s, atol=1e-8)
 
+    def test_builds_the_graph_subspace_once(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        r1 = kalman_minimize(random_descriptor(rng, 2, 3, 2, scale=0.5))
+        r2 = conjugated_realization(r1, random_invertible(rng, r1.N, spread=0.4))
+        # S from a graph subspace of its own: the controllable subspace of the
+        # difference realization
+        v = controllable_basis(analysis._difference_realization(r1, r2))
+        expected = v[r1.N:] @ np.linalg.inv(v[:r1.N])
+        seeds = []
+        real_subspace = analysis.invariant_subspace
+
+        def counted(generators, seed, steps=None):
+            seeds.append(seed.shape[0])
+            return real_subspace(generators, seed, steps)
+
+        monkeypatch.setattr(analysis, "invariant_subspace", counted)
+        s = recover_similarity(r1, r2)
+        assert seeds.count(2 * r1.N) == 1 and seeds.count(r1.N) == 4
+        assert np.array_equal(s, expected)
+
     def test_non_minimal_rejected(self):
         rng = np.random.default_rng(28)
         r = kalman_minimize(random_descriptor(rng, 2, 2, 2, scale=0.5))

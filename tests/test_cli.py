@@ -168,6 +168,24 @@ class TestFockCommand:
         r = load_realization(workdir / "hreal.json")
         assert r.N == 72
 
+    @pytest.mark.parametrize("cap,refused", [(575, "the Fock realization"),
+                                             (41471, "a dense copy of the 72 x 72 map")])
+    def test_refused_above_the_cap_in_one_line(self, workdir, capsys, monkeypatch, cap,
+                                               refused):
+        from ncreal import core
+
+        # (n, d, L) = (2, 2, 1): d n^3 fock_dim = 576, the dense map 2*2*2*72*72 = 41472
+        TruncatedFockVector(2, 2, 1, {((1,), (1,), ()): 1.0}).dump(workdir / "h.json")
+        monkeypatch.setattr(core, "ALLOCATION_CAP", cap)
+        code = main(["fock", str(workdir / "h.json"), str(workdir / "centre.json"),
+                     "--out", str(workdir / "never.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: %s" % refused)
+        assert captured.err.count("\n") == 1
+        assert "more than the cap of %d" % cap in captured.err
+        assert not (workdir / "never.json").exists()
+
 
 class TestDomainSample:
     def test_csv_shape_and_centre_row(self, workdir, capsys):
@@ -191,6 +209,26 @@ class TestDomainSample:
         MatrixTuple([np.array([[1.0]])], 1).dump(tmp_path / "p.json")
         code, out = run(capsys, "eval", tmp_path / "r.json", tmp_path / "p.json")
         assert code == 3
+
+    def test_one_pencil_per_sampled_point(self, workdir, capsys, monkeypatch):
+        from ncreal import cli, realization
+
+        run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+            "--out", workdir / "p.json")
+        calls = []
+        real_apply = realization.ampliated_apply
+
+        def counted(*args):
+            calls.append(1)
+            return real_apply(*args)
+
+        monkeypatch.setattr(realization, "ampliated_apply", counted)
+        # every point counts as outside, so each one also takes a pole order
+        monkeypatch.setattr(cli, "passes_invertibility", lambda smin, smax: False)
+        code, out = run(capsys, "domain-sample", workdir / "p.json",
+                        "--samples", "5", "--seed", "3")
+        assert code == 0 and len(out.strip().split("\n")) == 6
+        assert len(calls) == 5
 
     def test_pole_order_column_matches_direct_call(self, workdir, capsys):
         from ncreal.realization import pole_order

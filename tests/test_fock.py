@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from ncreal.realization import pencil, transfer
 from ncreal.algebra import fm_to_desc
 from ncreal.analysis import analytically_equivalent, kalman_minimize
 from ncreal.parser import eval_expression, parse, realize_expression
+from ncreal import core, fock
 from ncreal.fock import (
+    FockBasisIndex,
     TruncatedFockVector,
     basis_position,
     coeffs_from_nc_function,
@@ -91,6 +94,152 @@ class TestCreationOperators:
         eye = np.eye(fock_dim(n, d, L))
         assert np.array_equal((u @ u).toarray(), eye)
         assert (u - u.conj().T).nnz == 0
+
+
+FOCK_GRID = [(1, 1, 0), (1, 2, 4), (1, 3, 3), (2, 1, 2), (2, 2, 2), (3, 2, 1), (2, 2, 0)]
+
+
+def literal_basis(n, d, L):
+    """The basis order written out: degree, then omega, alpha, beta lexicographically."""
+    return [FockBasisIndex(alpha, beta, omega)
+            for ell in range(L + 1)
+            for omega in itertools.product(range(1, d + 1), repeat=ell)
+            for alpha in itertools.product(range(1, n + 1), repeat=ell + 1)
+            for beta in itertools.product(range(1, n + 1), repeat=ell + 1)]
+
+
+def literal_shift(n, d, L, image):
+    """The 0/1 matrix of a basis map, built by editing index tuples (over L truncates)."""
+    basis = literal_basis(n, d, L)
+    position = {idx: k for k, idx in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    for k, idx in enumerate(basis):
+        target = image(idx)
+        if len(target.omega) <= L:
+            out[position[target], k] = 1.0
+    return out
+
+
+def literal_right(n, d, L, a, b, w):
+    return literal_shift(n, d, L, lambda idx: FockBasisIndex(
+        idx.alpha + (a,), idx.beta + (b,), idx.omega + (w,)))
+
+
+def literal_left(n, d, L, i, j, k):
+    return literal_shift(n, d, L, lambda idx: FockBasisIndex(
+        (i,) + idx.alpha, (j,) + idx.beta, (k,) + idx.omega))
+
+
+class TestLiteralLayout:
+    """Every operator against an oracle that edits FockBasisIndex tuples."""
+
+    @pytest.mark.parametrize("n,d,L", FOCK_GRID)
+    def test_basis_and_positions(self, n, d, L):
+        basis = literal_basis(n, d, L)
+        assert fock_basis(n, d, L) == basis
+        assert basis_position(n, d, L) == {idx: k for k, idx in enumerate(basis)}
+        assert fock_dim(n, d, L) == len(basis)
+        rng = np.random.default_rng(n * 100 + d * 10 + L)
+        h = random_fock_vector(rng, n, d, L, density=0.5)
+        expected = np.zeros(len(basis), dtype=np.complex128)
+        for k, idx in enumerate(basis):
+            expected[k] = h.coeff(idx.alpha, idx.beta, idx.omega)
+        assert np.array_equal(h.to_dense(), expected)
+
+    @pytest.mark.parametrize("n,d,L", FOCK_GRID)
+    def test_creation_operators_and_flip(self, n, d, L):
+        for i, j, k in itertools.product(range(1, n + 1), range(1, n + 1), range(1, d + 1)):
+            for op, oracle in ((left_creation, literal_left), (right_creation, literal_right)):
+                got = op(n, d, L, i, j, k)
+                expected = oracle(n, d, L, i, j, k)
+                assert got.dtype == np.complex128
+                assert got.nnz == np.count_nonzero(expected)
+                assert np.array_equal(got.toarray(), expected)
+                if L == 0:
+                    assert got.nnz == 0
+        flip = flip_unitary(n, d, L)
+        expected = literal_shift(n, d, L, lambda idx: FockBasisIndex(
+            idx.alpha[::-1], idx.beta[::-1], idx.omega[::-1]))
+        assert flip.nnz == fock_dim(n, d, L)
+        assert np.array_equal(flip.toarray(), expected)
+
+    @pytest.mark.parametrize("n,d,L", FOCK_GRID)
+    def test_realization_is_the_kronecker_sum(self, n, d, L):
+        rng = np.random.default_rng(n * 100 + d * 10 + L + 1)
+        y = random_centre(rng, n, d)
+        h = random_fock_vector(rng, n, d, L, density=0.5)
+        basis = literal_basis(n, d, L)
+        dim = len(basis)
+        position = {idx: k for k, idx in enumerate(basis)}
+        eye = np.eye(n)
+        rstar = {(q, j, k): np.conj(literal_right(n, d, L, q, j, k)).T
+                 for q, j, k in itertools.product(range(1, n + 1), range(1, n + 1),
+                                                  range(1, d + 1))}
+        for scale in (1.0, 2.0, 0.3):
+            r = fock_realization(h, y, scale)
+            for k, p, q in itertools.product(range(1, d + 1), range(1, n + 1), range(1, n + 1)):
+                # A_k(E_pq) = sum_j E_pj (x) R*_{qj;k}
+                expected = sum(np.kron(np.outer(eye[p - 1], eye[j - 1]), rstar[(q, j, k)])
+                               for j in range(1, n + 1)) / scale
+                unit = r.A.unit(k, p - 1, q - 1)
+                assert unit.nnz == np.count_nonzero(expected)
+                assert np.array_equal(unit.toarray(), expected)
+                if L == 0:
+                    assert unit.nnz == 0
+            bstar = np.zeros((n, n * dim), dtype=np.complex128)
+            for i, j in itertools.product(range(1, n + 1), range(1, n + 1)):
+                bstar[i - 1, (j - 1) * dim + position[FockBasisIndex((i,), (j,), ())]] = 1.0
+            assert np.array_equal(r.b, np.conj(bstar).T)
+            scaled = np.array([h.coeff(idx.alpha, idx.beta, idx.omega) * scale ** len(idx.omega)
+                               for idx in basis], dtype=np.complex128)
+            assert np.array_equal(r.c, np.kron(np.eye(n), scaled[:, None]))
+
+    def test_no_kronecker_product_or_tuple_enumeration(self, monkeypatch):
+        import scipy.sparse
+
+        real_kron = scipy.sparse.kron
+
+        def kron(*args, **kwargs):
+            # the sparse ampliation in linmap is one Kronecker product per unit
+            if sys._getframe(1).f_globals.get("__name__") != "ncreal.linmap":
+                raise AssertionError("Kronecker product outside the ampliation")
+            return real_kron(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("basis tuples enumerated")
+
+        rng = np.random.default_rng(63)
+        n, d, L = 2, 2, 2
+        y = random_centre(rng, n, d)
+        h = random_fock_vector(rng, n, d, L)
+        x = ampliate(y, 2) + unit_column_tuple(rng, n, 2, d).scaled(0.8)
+        expected = eval_fock(h, x, y)
+        monkeypatch.setattr(scipy.sparse, "kron", kron)
+        monkeypatch.setattr(fock, "fock_basis", refuse)
+        monkeypatch.setattr(fock, "basis_position", refuse)
+        r = fock_realization(h, y)
+        value = transfer(r, x)
+        monkeypatch.undo()
+        assert np.linalg.norm(value - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_refused_above_the_cap_before_the_layout(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("layout built past the cap")
+
+        y = CentrePoint([np.zeros((2, 2)), np.zeros((2, 2))])
+        h = TruncatedFockVector(2, 2, 2, {((1,), (1,), ()): 1.0})
+        # d n^3 fock_dim = 2 * 8 * 292 entries
+        monkeypatch.setattr(core, "ALLOCATION_CAP", 2 * 8 * 292 - 1)
+        monkeypatch.setattr(fock, "_positions", refuse)
+        with pytest.raises(ValueError, match="4672 entries, more than the cap of 4671"):
+            fock_realization(h, y)
+        # a header with a huge L is refused before its dimension is summed
+        huge = TruncatedFockVector(2, 2, 10 ** 9, {((1,), (1,), ()): 1.0})
+        with pytest.raises(ValueError, match=r"\(2, 2, 1000000000\) would hold"):
+            fock_realization(huge, y)
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "ALLOCATION_CAP", 2 * 8 * 292)
+        assert fock_realization(h, y).N == 584
 
 
 class TestEvalFock:

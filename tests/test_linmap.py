@@ -269,3 +269,16 @@ class TestSerialization:
         x = random_tuple(rng, 2, 2, 1)
         assert_allclose(ampliated_apply(a_sparse, x).toarray(),
                         ampliated_apply(a_dense, x), atol=1e-14)
+
+    def test_sparse_map_refuses_a_dense_copy_above_the_cap(self, monkeypatch):
+        import scipy.sparse
+
+        from ncreal import core
+
+        units = [[[scipy.sparse.identity(3, dtype=np.complex128, format="csr")] * 2] * 2]
+        a = MatrixLinearMap(units)                 # 1 x 2 x 2 x 3 x 3 = 36 entries
+        monkeypatch.setattr(core, "ALLOCATION_CAP", 35)
+        with pytest.raises(ValueError, match="36 entries, more than the cap of 35"):
+            a.dense()
+        monkeypatch.setattr(core, "ALLOCATION_CAP", 36)
+        assert a.dense().shape == (1, 2, 2, 3, 3)
