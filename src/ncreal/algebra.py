@@ -99,8 +99,7 @@ def coordinate_fm(k, y):
         raise ValueError("coordinate index %d out of range 1..%d" % (k, d))
     a = MatrixLinearMap.zeros(d, n, n)
     bcoef = np.zeros((d, n, n, n, n), dtype=np.complex128)
-    for p, q, e in matrix_units(n):
-        bcoef[k - 1, p, q] = e               # B_k(G) = G, other letters vanish
+    bcoef[k - 1] = matrix_units(n)           # B_k(G) = G, other letters vanish
     return FMRealization(
         a, MatrixLinearMap(bcoef), np.eye(n, dtype=np.complex128),
         y.component(k).copy(), y,

@@ -161,17 +161,13 @@ def translate(r, x):
                                   "domain (pencil sigma_min = %.3e)" % verdict.sigma_min,
                                   sigma_min=verdict.sigma_min)
     lam = np.linalg.inv(p)
-    units = r.A.dense()
-    mn = m * n
-    a = np.zeros((r.d, mn, mn, m * nstate, m * nstate), dtype=np.complex128)
-    for j in range(r.d):
-        for k in range(m):
-            lam_block = lam[:, k * nstate:(k + 1) * nstate]
-            for l in range(m):
-                for pp in range(n):
-                    for qq in range(n):
-                        tgt = a[j, k * n + pp, l * n + qq]
-                        tgt[:, l * nstate:(l + 1) * nstate] = lam_block @ units[j, pp, qq]
+    # block (k, l) of A'_j(E_pq) is Lambda[:, k-th N columns] @ A_j(E_pq) in column block l
+    lam_blocks = lam.reshape(m * nstate, m, nstate).transpose(1, 0, 2)
+    prod = lam_blocks[:, None, None, None] @ r.A.dense()   # axes k, j, p, q
+    a = np.zeros((r.d, m, n, m, n, m * nstate, m, nstate), dtype=np.complex128)
+    diag = np.arange(m)
+    a[:, :, :, diag, :, :, diag, :] = prod.transpose(1, 0, 2, 3, 4, 5)
+    a = a.reshape(r.d, m * n, m * n, m * nstate, m * nstate)
     b2 = eye_kron(m, r.b)
     c2 = lam @ eye_kron(m, r.c)
     centre = CentrePoint([comp.copy() for comp in x.components])

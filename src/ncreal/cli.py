@@ -37,7 +37,6 @@ from .core import (
     require_nonnegative,
     singular_value_range,
 )
-from .linmap import cb_row_norm_bound
 from .realization import (
     FMRealization,
     _pole_order,
@@ -101,7 +100,7 @@ def cmd_realize(args):
     expr = parse(text, centre.d, constants)
     fm = realize_expression(expr, centre)
     save_realization(fm, args.out)
-    bound = cb_row_norm_bound(fm.A)
+    bound = fm.A.cb_bound
     _emit({
         "state_dimension": fm.N,
         "cb_row_norm_bound": bound,

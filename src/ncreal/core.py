@@ -152,14 +152,8 @@ def solve_refined(m, rhs):
 
 
 def matrix_units(n):
-    """All standard matrix units of C^{n x n} as triples (p, q, E_pq)."""
-    units = []
-    for p in range(n):
-        for q in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[p, q] = 1.0
-            units.append((p, q, e))
-    return units
+    """units[p, q] is the matrix unit E_pq of C^{n x n} (0-based p, q)."""
+    return np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse
 
+from . import core
 from .core import (ampliate, column_norm, decode_complex, deviation_from_centre,
-                   encode_complex, eye_kron, json_field, read_json, require_within_cap,
-                   write_json)
+                   encode_complex, eye_kron, json_field, matrix_units, read_json,
+                   require_within_cap, write_json)
 from .linmap import MatrixLinearMap
 from .realization import DescriptorRealization
 
@@ -52,7 +53,11 @@ FockBasisIndex = namedtuple("FockBasisIndex", ["alpha", "beta", "omega"])
 
 
 def fock_dim(n, d, L):
-    return sum(n ** (2 * (ell + 1)) * d ** ell for ell in range(L + 1))
+    """sum_{l <= L} n^{2(l+1)} d^l, the dimension of the truncated space, in closed form."""
+    ratio = d * n * n
+    if ratio == 1:
+        return L + 1
+    return n * n * (ratio ** (L + 1) - 1) // (ratio - 1)
 
 
 @lru_cache(maxsize=8)
@@ -210,14 +215,9 @@ class TruncatedFockVector:
         return cls.from_json(read_json(path))
 
 
-def _matrix_units(n):
-    """units[p - 1, q - 1] is the matrix unit E_pq of C^{n x n}."""
-    return np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)
-
-
 def _basis_evaluation(idx, h_components, n, m):
     """E_{alpha,beta} * e_omega evaluated on a deviation tuple H (level m)."""
-    units = _matrix_units(n)
+    units = matrix_units(n)
     out = eye_kron(m, units[idx.alpha[0] - 1, idx.beta[0] - 1])
     for s, w in enumerate(idx.omega, start=1):
         out = out @ h_components[w - 1]
@@ -286,10 +286,12 @@ def fock_realization(h, y, scale=1.0):
     n, d, L = h.n, h.d, h.L
     if y.base_n != n or y.d != d:
         raise ValueError("centre does not match the Fock data")
-    what, dim = "the Fock realization at (n, d, L) = (%d, %d, %d)" % (n, d, L), 0
-    for ell in range(L + 1):   # degree by degree: a huge L is refused, never summed
-        dim += n ** (2 * (ell + 1)) * d ** ell
-        require_within_cap(d * n ** 3 * dim, what)
+    # with d n^2 >= 2, fock_dim passes 2^degree: a huge L is checked at the
+    # degree where the cap is surely passed, so (d n^2)^(L+1) is never formed
+    top = L if d * n * n < 2 else min(L, core.ALLOCATION_CAP.bit_length())
+    require_within_cap(d * n ** 3 * fock_dim(n, d, top),
+                       "the Fock realization at (n, d, L) = (%d, %d, %d)" % (n, d, L))
+    dim = fock_dim(n, d, L)
     units = [[[None] * n for _ in range(n)] for _ in range(d)]
     for k, q in itertools.product(range(d), range(n)):
         # A_k(E_pq) = sum_j E_pj (x) R*_{qj;k}: row (p-1) dim + source, column
@@ -354,7 +356,7 @@ def coeffs_from_nc_function(func, y, L, r=1.0):
     from .analysis import nilpotent_moment, nilpotent_point
 
     n, d = y.base_n, y.d
-    units, letters = _matrix_units(n), range(1, n + 1)
+    units, letters = matrix_units(n), range(1, n + 1)
     coeffs = {}
 
     f0 = np.asarray(func(ampliate(y, 1)), dtype=np.complex128)

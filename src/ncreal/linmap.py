@@ -97,6 +97,28 @@ class MatrixLinearMap:
         """:func:`cb_row_norm_bound` of this map, computed on first use and kept."""
         return cb_row_norm_bound(self)
 
+    @cached_property
+    def nilpotency_index(self):
+        """The smallest K >= 1 with P^K = 0, or None when P has a cycle.
+
+        P is the union of the sparsity patterns of all units A_j(E_pq).  Each
+        (k, l) block of sum_j (id_m (x) A_j)(H_j) is a combination of units, so
+        that matrix has K-th power zero at every level m and every H.  K is the
+        number of rounds in which P's graph peels off its sinks; no tolerance
+        enters.  Computed on first use and kept; square-valued maps only.
+        """
+        union = sum(u != 0 for _, u in self.iter_units())
+        pattern = scipy.sparse.csr_matrix(union, dtype=np.float64)
+        alive = np.ones(self.out_rows, dtype=bool)
+        index = 0
+        while alive.any():
+            sinks = alive & (pattern @ alive.astype(np.float64) == 0)
+            if not sinks.any():
+                return None   # each vertex left has an out-edge among them: a cycle
+            alive &= ~sinks
+            index += 1
+        return max(index, 1)
+
     @classmethod
     def zeros(cls, d, n, rows, cols=None):
         if cols is None:

@@ -23,10 +23,11 @@ max(1, sigma_max) on the pencil I - T in this order:
    sqrt(||T||_1 ||T||_inf), which costs O(nnz), and, for a dense map only,
    cb_row_norm_bound(A) * column_norm(X - I_m (x) Y), the paper's domain
    radius (the cb bound is computed once per map).
-2. Bounds on the singular values of I - T: sigma_max <= 1 + q always.  If T
-   is sparse and its sparsity graph is acyclic, T^K = 0 for the K read off
-   the graph and sigma_min >= 1 / sum_{k<K} q^k.  Otherwise, if q < 1,
-   sigma_min >= 1 - q.
+2. Bounds on the singular values of I - T: sigma_max <= 1 + q always.  If
+   the map has a nilpotency index K (A.nilpotency_index, read once per map
+   off the union of its units' sparsity patterns, dense or sparse), then
+   T^K = 0 at every point and sigma_min >= 1 / sum_{k<K} q^k.  Otherwise,
+   if q < 1, sigma_min >= 1 - q.
 3. The certificate fires when lower > INVERTIBILITY_RTOL * max(1, upper).
    The exact test then passes, so the verdict is the same.
 4. Otherwise one dense SVD gives the exact sigma_min and sigma_max, and
@@ -319,31 +320,6 @@ def _cb_col_bound(a, h):
     return a.cb_bound * col
 
 
-def _nilpotency_index(t):
-    """The smallest K with T^K = 0 for every matrix of t's sparsity pattern.
-
-    None when the pattern's graph has a cycle: a self-loop, or a strongly
-    connected component of more than one vertex.  Otherwise K is one more
-    than the longest path.  No tolerance enters.
-    """
-    from scipy.sparse.csgraph import connected_components  # only sparse maps need it
-
-    pattern = (t != 0).astype(np.float64).tocsr()
-    size = t.shape[0]
-    if pattern.diagonal().any():
-        return None
-    components, _ = connected_components(pattern, directed=True, connection="strong")
-    if components < size:
-        return None
-    starts = np.ones(size)   # vertices where a path of index - 1 edges starts
-    index = 1
-    while True:
-        starts = (pattern @ starts != 0).astype(np.float64)
-        if not starts.any():
-            return index
-        index += 1
-
-
 def _singular_value_bounds(q, index):
     """(lower, upper) bounds on the singular values of I - T, given q >= ||T||_2.
 
@@ -361,7 +337,7 @@ def _certify(a, h, t):
     """Certified (lower, upper) singular value bounds of I - t that pass the
     invertibility test, or None when the bounds at hand cannot prove it."""
     q = _one_inf_bound(t)
-    index = _nilpotency_index(t) if a.is_sparse else None
+    index = a.nilpotency_index
     bounds = _singular_value_bounds(q * (1.0 + _BOUND_PAD), index)
     if not passes_invertibility(*bounds) and not a.is_sparse:
         q = min(q, _cb_col_bound(a, h))
@@ -425,13 +401,15 @@ def in_domain(r, x):
 
     The test is sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max) on the
     pencil I - T.  First the certificate: with q >= ||T||_2, sigma_max <=
-    upper = 1 + q and sigma_min >= lower = 1 / sum_{k<K} q^k (T sparse with
-    T^K = 0) or 1 - q (q < 1), and lower > INVERTIBILITY_RTOL * max(1, upper)
-    proves the test passes.  Otherwise one dense SVD decides (see the module
-    docstring).  Both give the same verdict.  A sparse pencil is held to the same threshold.  A unipotent pencil, such
-    as that of a truncated Fock realization, is always invertible, but it is
-    not always well conditioned: [[1, t], [0, 1]] has sigma_min =
-    1 / sigma_max, and at t = 1e13 it lies outside the domain.
+    upper = 1 + q and sigma_min >= lower = 1 / sum_{k<K} q^k (when
+    A.nilpotency_index is K) or 1 - q (q < 1), and lower >
+    INVERTIBILITY_RTOL * max(1, upper) proves the test passes.  Otherwise
+    one dense SVD decides (see the module docstring).  Both give the same
+    verdict.  A sparse pencil is held to the same threshold.
+
+    A unipotent pencil, such as that of a truncated Fock realization, is
+    always invertible, but it is not always well conditioned: [[1, t], [0, 1]]
+    has sigma_min = 1 / sigma_max, and at t = 1e13 it lies outside the domain.
     """
     return _decide(r, x)[3].in_domain
 

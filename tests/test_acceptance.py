@@ -294,7 +294,7 @@ def test_criterion_5_lac_certification(nc_corpus):
 def test_criterion_6_nilpotent_cross_oracle():
     rng = np.random.default_rng(606)
     n, d = 2, 2
-    units = [e for _, _, e in matrix_units(n)]
+    units = list(matrix_units(n).reshape(-1, n, n))
     worst = 0.0
     worst_scaling = 0.0
     for _ in range(20):

@@ -194,7 +194,7 @@ class TestGenerators:
         rng = np.random.default_rng(15)
         y = random_centre(rng, 2, 2)
         desc = fm_to_desc(coordinate_fm(2, y))
-        units = [e for _, _, e in matrix_units(2)]
+        units = list(matrix_units(2).reshape(-1, 2, 2))
         assert np.linalg.norm(moment(desc, (), []) - y.component(2)) < 1e-14
         for g in units:
             assert np.linalg.norm(moment(desc, (2,), [g]) - g) < 1e-14

@@ -269,7 +269,7 @@ def lac_oracle(r):
     written out literally through MatrixLinearMap.apply on explicit units."""
     bstar, c = np.conj(r.b).T, r.c
     letters = range(1, r.d + 1)
-    units = [e for _, _, e in matrix_units(r.n)]
+    units = list(matrix_units(r.n).reshape(-1, r.n, r.n))
 
     def a(j, g):
         return r.A.apply(j, g)
@@ -414,7 +414,7 @@ class TestMomentViaNilpotent:
     def test_matches_moment_up_to_length_three(self):
         rng = np.random.default_rng(22)
         r = random_descriptor(rng, 2, 2, 2, scale=0.5)
-        units = [e for _, _, e in matrix_units(2)]
+        units = list(matrix_units(2).reshape(-1, 2, 2))
         from ncreal.core import all_words
 
         for word in all_words(2, 3):
@@ -508,7 +508,7 @@ def unit_moment_oracle(r1, r2, depth):
     """Exact per-length figures from realization.moment over every word and
     unit-argument tuple: the largest moment norm of either realization and
     the largest deviation, both Frobenius, for each length 0..depth."""
-    units = [e for _, _, e in matrix_units(r1.n)]
+    units = list(matrix_units(r1.n).reshape(-1, r1.n, r1.n))
     size = np.zeros(depth + 1)
     dev = np.zeros(depth + 1)
     for ell in range(depth + 1):

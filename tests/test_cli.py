@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ class TestFockCommand:
         assert captured.err.count("\n") == 1
         assert "more than the cap of %d" % cap in captured.err
         assert not (workdir / "never.json").exists()
+
+    def test_huge_degree_refused_at_once(self, tmp_path, capsys):
+        # n = d = 1: the dimension is L + 1, so the cap is passed at L = 10^12
+        TruncatedFockVector(1, 1, 10 ** 12, {((1,), (1,), ()): 1.0}).dump(tmp_path / "h.json")
+        CentrePoint([np.zeros((1, 1))]).dump(tmp_path / "y.json")
+        start = time.perf_counter()
+        code = main(["fock", str(tmp_path / "h.json"), str(tmp_path / "y.json"),
+                     "--out", str(tmp_path / "never.json")])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(
+            "error: the Fock realization at (n, d, L) = (1, 1, 1000000000000)")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "never.json").exists()
+        assert elapsed < 0.5
 
 
 class TestDomainSample:

@@ -48,7 +48,7 @@ class TestBasis:
         assert fock_dim(1, 1, 0) == 1
         assert fock_dim(2, 1, 0) == 4
         assert fock_dim(2, 2, 1) == 4 + 16 * 2
-        for n, d, L in [(2, 2, 2), (3, 2, 1), (1, 3, 3)]:
+        for n, d, L in itertools.product(range(1, 4), range(1, 4), range(-1, 7)):
             expected = sum(n ** (2 * (k + 1)) * d ** k for k in range(L + 1))
             assert fock_dim(n, d, L) == expected
 
@@ -237,6 +237,11 @@ class TestLiteralLayout:
         huge = TruncatedFockVector(2, 2, 10 ** 9, {((1,), (1,), ()): 1.0})
         with pytest.raises(ValueError, match=r"\(2, 2, 1000000000\) would hold"):
             fock_realization(huge, y)
+        for n, d in [(1, 1), (1, 2), (2, 1), (3, 3)]:
+            huge = TruncatedFockVector(n, d, 10 ** 12, {((1,), (1,), ()): 1.0})
+            refused = r"\(%d, %d, %d\) would hold" % (n, d, 10 ** 12)
+            with pytest.raises(ValueError, match=refused):
+                fock_realization(huge, CentrePoint([np.zeros((n, n))] * d))
         monkeypatch.undo()
         monkeypatch.setattr(core, "ALLOCATION_CAP", 2 * 8 * 292)
         assert fock_realization(h, y).N == 584

@@ -20,9 +20,7 @@ from ncreal.linmap import (
 def identity_map(n, d=1):
     # A_j(G) = G for every letter
     coeffs = np.zeros((d, n, n, n, n), dtype=np.complex128)
-    for j in range(d):
-        for p, q, e in matrix_units(n):
-            coeffs[j, p, q] = e
+    coeffs[:] = matrix_units(n)
     return MatrixLinearMap(coeffs)
 
 
@@ -43,8 +41,9 @@ class TestApply:
         a = random_linmap(rng, 2, 2, 3)
         g = cmat(rng, 2, 2)
         expected = np.zeros((3, 3), dtype=np.complex128)
-        for p, q, e in matrix_units(2):
-            expected += g[p, q] * apply(a, 2, e)
+        units = matrix_units(2)
+        for p, q in np.ndindex(2, 2):
+            expected += g[p, q] * apply(a, 2, units[p, q])
         assert_allclose(apply(a, 2, g), expected, atol=1e-14)
 
     def test_shape_mismatch(self):
@@ -245,6 +244,76 @@ class TestCbRowNormBound:
             m = int(rng.integers(1, 3))
             x = ampliate(y, m) + unit_column_tuple(rng, 2, m, 2).scaled(0.95 / bound)
             assert in_domain(r, x)
+
+
+def union_pattern_index(coeffs):
+    """Oracle: the smallest K >= 1 with P^K = 0, by boolean matrix powers of the union
+    P of the units' patterns, or None when no power up to N + 1 vanishes."""
+    size = coeffs.shape[-1]
+    pattern = (coeffs != 0).any(axis=(0, 1, 2)).astype(np.int64)
+    power = pattern
+    for k in range(1, size + 2):
+        if not power.any():
+            return k
+        power = ((power @ pattern) != 0).astype(np.int64)
+    return None
+
+
+def as_sparse_map(coeffs):
+    import scipy.sparse
+
+    return MatrixLinearMap([[[scipy.sparse.csr_matrix(u) for u in row] for row in comp]
+                            for comp in coeffs])
+
+
+class TestNilpotencyIndex:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_pattern_power_oracle(self, seed):
+        # a random DAG under a random vertex order, its edges spread over the
+        # units, and for some seeds one edge back along a path
+        rng = np.random.default_rng(seed)
+        d, n, size = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(0, 7))
+        upper = np.triu(rng.random((size, size)) < rng.uniform(0.1, 0.7), 1)
+        if seed % 3 == 0 and size > 1:
+            i, j = sorted(rng.choice(size, 2, replace=False))
+            upper[j, i] = True
+        order = rng.permutation(size)
+        edges = upper[np.ix_(order, order)]
+        owner = rng.integers(0, d * n * n, size=(size, size))
+        coeffs = np.zeros((d * n * n, size, size), dtype=np.complex128)
+        rows, cols = np.nonzero(edges)
+        coeffs[owner[rows, cols], rows, cols] = cmat(rng, 1, len(rows))[0]
+        coeffs = coeffs.reshape(d, n, n, size, size)
+        expected = union_pattern_index(coeffs)
+        assert MatrixLinearMap(coeffs).nilpotency_index == expected
+        assert as_sparse_map(coeffs).nilpotency_index == expected
+
+    def test_cycle_across_units_without_a_self_loop(self):
+        # each unit is nilpotent on its own; their union is the cycle 0 -> 1 -> 2 -> 0
+        coeffs = np.zeros((1, 2, 2, 3, 3), dtype=np.complex128)
+        coeffs[0, 0, 0, 0, 1] = 1.0
+        coeffs[0, 0, 1, 1, 2] = 2.0
+        coeffs[0, 1, 1, 2, 0] = -1.0j
+        path = coeffs.copy()
+        path[0, 1, 1] = 0.0   # without the edge 2 -> 0: the path 0 -> 1 -> 2
+        assert union_pattern_index(coeffs) is None
+        assert union_pattern_index(path) == 3
+        for a in (MatrixLinearMap(coeffs), as_sparse_map(coeffs)):
+            assert a.nilpotency_index is None
+        for a in (MatrixLinearMap(path), as_sparse_map(path)):
+            assert a.nilpotency_index == 3
+
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_empty_and_zero_maps(self, size):
+        coeffs = np.zeros((2, 2, 2, size, size), dtype=np.complex128)
+        assert union_pattern_index(coeffs) == 1
+        assert MatrixLinearMap(coeffs).nilpotency_index == 1
+        assert as_sparse_map(coeffs).nilpotency_index == 1
+
+    def test_computed_once_per_map(self):
+        a = identity_map(2)
+        assert a.nilpotency_index is None   # A(G) = G: every diagonal entry is a self-loop
+        assert a.__dict__["nilpotency_index"] is None
 
 
 class TestSerialization:

@@ -132,7 +132,7 @@ class TestEvaluationKernel:
         x = scalar_point(1.0)
         e = evaluate(r, x)
         assert e.in_domain == passes_invertibility(*pencil_sigma(r, x)) == (t == 10.0)
-        assert e.decided_by == ("certificate" if sparse and t == 10.0 else "svd")
+        assert e.decided_by == ("certificate" if t == 10.0 else "svd")
         if e.in_domain:
             assert_allclose(e.value, [[-t]], rtol=1e-14)
             assert e.sigma_min <= pencil_sigma(r, x)[0]
@@ -179,6 +179,50 @@ class TestEvaluationKernel:
         value = transfer_fm(fm, x)
         assert calls == []
         assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("r_scale", [1.0, 40.0])
+    def test_dense_polynomial_at_a_nilpotent_point_takes_no_svd(self, r_scale, monkeypatch):
+        from ncreal.analysis import nilpotent_point
+        from ncreal.parser import parse, realize_expression
+
+        rng = np.random.default_rng(34)
+        y = random_centre(rng, 2, 2)
+        fm = realize_expression(parse("x1*x2*x1 - 2*x2*x1 + x2", 2), y)
+        assert not fm.A.is_sparse and fm.A.nilpotency_index is not None
+        x = nilpotent_point(y, (1, 2, 1), [cmat(rng, 2, 2) for _ in range(3)], r_scale)
+        exact = pencil_sigma(fm, x)
+        expected = (np.kron(np.eye(4), fm.D) + np.kron(np.eye(4), fm.C)
+                    @ np.linalg.solve(pencil(fm, x), ampliated_apply(
+                        fm.B, x - ampliate(y, 4))))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", refuse)
+        e = evaluate(fm, x)
+        monkeypatch.undo()
+        assert e.decided_by == "certificate" and e.in_domain
+        assert e.sigma_min <= exact[0] and e.sigma_max >= exact[1]
+        assert_allclose(e.value, expected, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_cyclic_union_pattern_falls_back_to_the_svd(self, sparse):
+        # A_1(E_11) and A_2(E_11) are each nilpotent, their union pattern is the
+        # cycle 0 -> 1 -> 0; at X = (3, 0.1) about 0, T = [[0, 3], [0.1, 0]]
+        units = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])]
+        coeffs = np.array(units, dtype=np.complex128).reshape(2, 1, 1, 2, 2)
+        amap = (MatrixLinearMap([[[scipy.sparse.csr_matrix(u)]] for u in units]) if sparse
+                else MatrixLinearMap(coeffs))
+        r = DescriptorRealization(amap, np.eye(2, 1), np.eye(2, 1),
+                                  CentrePoint([np.zeros((1, 1))] * 2))
+        x = MatrixTuple([np.array([[3.0]]), np.array([[0.1]])], 1)
+        assert amap.nilpotency_index is None
+        e = evaluate(r, x)
+        assert e.decided_by == "svd"
+        assert e.in_domain == passes_invertibility(*pencil_sigma(r, x)) is True
+        assert (e.sigma_min, e.sigma_max) == pencil_sigma(r, x)
+        assert_allclose(e.value, [[1.0 / 0.7]], rtol=1e-14)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_decide_builds_the_deviation_once(self, m, monkeypatch):
@@ -284,7 +328,7 @@ class TestMoment:
 
         rng = np.random.default_rng(9)
         r = random_descriptor(rng, 2, 3, 2, scale=0.4)
-        units = [e for _, _, e in matrix_units(2)]
+        units = list(matrix_units(2).reshape(-1, 2, 2))
         for args in [(units[0], units[3]), (units[1], units[2])]:
             direct = moment(r, (1, 2), list(args))
             via = moment_via_nilpotent(r, (1, 2), list(args))
