@@ -314,9 +314,8 @@ def max_moment_deviation(r1, r2, depth):
     arguments through split Hankel ladders, n (d n^2)^ceil(depth/2) columns
     wide, in row chunks.  The deviation is absolute.  Raises ValueError on a
     negative depth and when the ladders would not fit SWEEP_COLUMN_BUDGET.
-    Its callers are the exact oracle of the tests, the traced replay of
-    ncbench's compile-certify workload and the fixed-depth check of
-    ``ncreal minimize --depth``.
+    Its callers are the exact oracle of the tests and the traced replay of
+    ncbench's compile-certify workload.
     """
     require_nonnegative("depth", depth)
     half = (depth + 1) // 2

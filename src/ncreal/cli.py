@@ -12,8 +12,11 @@ traceback.  A fixed --seed makes every sampling command bit-reproducible.
 "certificate" when ``sigma_min`` and ``sigma_max`` are certified bounds on the
 pencil's singular values and "svd" when they are exact, and the point lies in
 the domain when sigma_min > ``allowed`` = INVERTIBILITY_RTOL * max(1,
-sigma_max).  ``certify`` reports ``minimal`` when Kalman minimization keeps
-the whole state space.
+sigma_max).  ``minimize`` checks its output against its input with the
+subspace test of ``equiv`` (tol 1e-9) through words of length ``--depth``
+and reports ``moment_match_residual`` and ``moment_match_allowed``.
+``certify`` reports ``minimal`` when Kalman minimization keeps the whole
+state space.
 """
 
 import argparse
@@ -50,7 +53,6 @@ from .analysis import (
     compare_moments,
     kalman_minimize,
     llac_residual,
-    max_moment_deviation,
     translate,
 )
 from .fock import TruncatedFockVector, fock_realization
@@ -58,7 +60,7 @@ from .parser import parse, realize_expression
 
 log = logging.getLogger("ncreal")
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 def _emit(report):
@@ -130,13 +132,14 @@ def cmd_eval(args):
 def cmd_minimize(args):
     r = _as_descriptor(load_realization(args.real_file))
     minimized = kalman_minimize(r)
-    residual = max_moment_deviation(r, minimized, args.depth)
+    _, residual, allowed = compare_moments(r, minimized, args.depth, 1e-9)
     save_realization(minimized, args.out)
     _emit({
         "dimension_before": r.N,
         "dimension_after": minimized.N,
         "moment_match_depth": args.depth,
         "moment_match_residual": residual,
+        "moment_match_allowed": allowed,
         "out": args.out,
     })
     return 0
@@ -218,7 +221,7 @@ def cmd_domain_sample(args):
         smin, smax = singular_value_range(p)
         inside = passes_invertibility(smin, smax)
         rows.append("%d,%.17g,%s,%.17g,%d" % (
-            idx, scale, str(inside).lower(), smin, 0 if inside else _pole_order(p)))
+            idx, scale, str(inside).lower(), smin, 0 if inside else _pole_order(p, smax)))
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -254,7 +257,8 @@ def _build_parser():
     p.add_argument("real_file")
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--depth", type=int, default=3,
-                   help="depth of the moment check against the input")
+                   help="moments of words up to this length are checked against the "
+                        "input by the subspace test of equiv")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("certify", help="minimality plus Lost-Abbey certificate")

@@ -280,7 +280,7 @@ def fock_realization(h, y, scale=1.0):
     tuple is jointly nilpotent, so the pencil is unipotent: the transfer
     equals :func:`eval_fock` exactly, at points of every norm.
 
-    Each A_k(E_pq) is one CSR matrix read off the right-creation targets.  When
+    A is one CSR stack of units read off the right-creation targets.  When
     d n^3 fock_dim, a bound on A's nonzeros, exceeds ALLOCATION_CAP: ValueError.
     """
     n, d, L = h.n, h.d, h.L
@@ -292,19 +292,18 @@ def fock_realization(h, y, scale=1.0):
     require_within_cap(d * n ** 3 * fock_dim(n, d, top),
                        "the Fock realization at (n, d, L) = (%d, %d, %d)" % (n, d, L))
     dim = fock_dim(n, d, L)
-    units = [[[None] * n for _ in range(n)] for _ in range(d)]
-    for k, q in itertools.product(range(d), range(n)):
-        # A_k(E_pq) = sum_j E_pj (x) R*_{qj;k}: row (p-1) dim + source, column
-        # (j-1) dim + its right-creation target
-        targets = [_creation_targets(n, d, L, q + 1, j + 1, k + 1, last=True)
-                   for j in range(n)]
-        sources = np.tile(np.arange(len(targets[0])), n)
-        cols = np.concatenate([j * dim + t for j, t in enumerate(targets)])
-        data = np.full(len(cols), 1.0 / scale, dtype=np.complex128)
-        for p in range(n):
-            units[k][p][q] = scipy.sparse.csr_matrix((data, (p * dim + sources, cols)),
-                                                     shape=(n * dim, n * dim))
-    a = MatrixLinearMap(units)
+    # targets[k, q, j]: where R_{q+1, j+1; k+1} sends each basis vector below degree L
+    targets = np.array([[[_creation_targets(n, d, L, q + 1, j + 1, k + 1, last=True)
+                          for j in range(n)] for q in range(n)] for k in range(d)])
+    # A_k(E_pq) = sum_j E_pj (x) R*_{qj;k}: row (p-1) dim + source of unit (k, p, q),
+    # column (j-1) dim + the source's target
+    k, p, q, j, source = np.ix_(range(d), range(n), range(n), range(n), range(targets.shape[3]))
+    rows = ((k * n + p) * n + q) * (n * dim) + p * dim + source
+    rows, cols = np.broadcast_arrays(rows, j * dim + targets[:, None, :, :, :])
+    stack = scipy.sparse.csr_matrix(
+        (np.full(rows.size, 1.0 / scale, dtype=np.complex128), (rows.ravel(), cols.ravel())),
+        shape=(d * n * n * n * dim, n * dim))
+    a = MatrixLinearMap(stack, d, n)
 
     # np.kron, not eye_kron: the signs of its zeros reach the saved file's bytes
     c = np.kron(np.eye(n), h.scaled_by_degree(scale).to_dense()[:, None])

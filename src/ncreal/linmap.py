@@ -7,14 +7,17 @@ standard matrix unit is kept, so that
 
     A_j(G) = sum_{p,q} G[p, q] * A_j(E_pq).
 
-Desk-scale maps keep one dense tensor of shape (d, n, n, N, M).  The Fock
-construction produces much larger state spaces and stores one sparse matrix
-per (j, p, q) instead; the accessors hide the difference.
+Every map keeps its units in one (d n^2 N) x M stack, ``stack``: unit u =
+((j-1) n + p) n + q, that is A_j(E_pq), fills rows [u N, (u+1) N).  It is a
+read-only C-contiguous array, whose reshape to (d, n, n, N, M) is free, or,
+for the large state spaces of the Fock construction, one CSR matrix whose
+stored entries are the nonzero (j, p, q, row, col) triplets.
 
 The level-m ampliation sum_j (id_m (x) A_j)(X_j), from which every pencil
-and every FM input is built, is the contraction T^{(k,l)} = sum_{j,p,q}
-X_j^{(k,l)}[p, q] A_j(E_pq): one matrix product for a dense map (see
-:func:`ampliated_apply`), one Kronecker product per unit for a sparse one.
+and every FM input is built, is T = sum_u X_u (x) A(u), where X_u is the
+m x m matrix of entries X_j^{(k,l)}[p, q]: one matrix product for a dense
+stack, one index computation on the stored triplets for a sparse one (see
+:func:`ampliated_apply`).  :meth:`MatrixLinearMap.apply` is its level-1 case.
 """
 
 from functools import cached_property
@@ -36,57 +39,46 @@ __all__ = [
 ]
 
 
-def _is_sparse(m):
-    return scipy.sparse.issparse(m)
-
-
 class MatrixLinearMap:
-    """Row d-tuple of linear maps C^{n x n} -> C^{N x M}, stored coefficient-wise.
+    """Row d-tuple of linear maps C^{n x n} -> C^{N x M}, stored as one stack of units.
 
     Parameters
     ----------
-    coeffs : ndarray or nested sequence
+    coeffs : ndarray or scipy sparse matrix
         Either a dense complex tensor of shape (d, n, n, N, M) with
-        ``coeffs[j-1, p, q] = A_j(E_pq)``, or a nested list (d lists of n
-        lists of n entries) whose entries are N x M scipy sparse matrices.
+        ``coeffs[j-1, p, q] = A_j(E_pq)``, or, with ``d`` and ``n`` given, the
+        (d n^2 N) x M stack of the units, kept as one CSR matrix when sparse.
     """
 
-    def __init__(self, coeffs):
-        if isinstance(coeffs, np.ndarray):
-            if coeffs.ndim != 5:
-                raise ValueError("dense coefficient tensor must have 5 axes, got %d"
-                                 % coeffs.ndim)
-            if coeffs.shape[1] != coeffs.shape[2]:
-                raise ValueError("argument axes must be square, got shape %s"
-                                 % (coeffs.shape,))
-            self._dense = np.ascontiguousarray(coeffs, dtype=np.complex128)
-            self._dense.flags.writeable = False
-            self._units = None
-            d, n, _, rows, cols = coeffs.shape
+    def __init__(self, coeffs, d=None, n=None):
+        if scipy.sparse.issparse(coeffs):
+            stack = scipy.sparse.csr_matrix(coeffs, dtype=np.complex128)
+            stack.sum_duplicates()
         else:
-            units = [[[scipy.sparse.csr_matrix(m) for m in row] for row in comp]
-                     for comp in coeffs]
-            d = len(units)
-            n = len(units[0])
-            rows, cols = units[0][0][0].shape
-            for comp in units:
-                if len(comp) != n or any(len(row) != n for row in comp):
-                    raise ValueError("coefficient table must be d x n x n")
-                for row in comp:
-                    for m in row:
-                        if m.shape != (rows, cols):
-                            raise ValueError("all coefficient matrices must share shape %s"
-                                             % ((rows, cols),))
-            self._dense = None
-            self._units = units
+            stack = np.ascontiguousarray(coeffs, dtype=np.complex128)
+            stack.flags.writeable = False
+        if d is None:
+            if stack.ndim != 5:
+                raise ValueError("dense coefficient tensor must have 5 axes, got %d"
+                                 % stack.ndim)
+            if stack.shape[1] != stack.shape[2]:
+                raise ValueError("argument axes must be square, got shape %s"
+                                 % (stack.shape,))
+            d, n, _, rows, cols = stack.shape
+            stack = stack.reshape(d * n * n * rows, cols)
+        units = d * n * n
+        if stack.ndim != 2 or units < 1 or stack.shape[0] % units:
+            raise ValueError("a stack of d n^2 = %d units needs 2 axes and a multiple of "
+                             "%d rows, got shape %s" % (units, units, stack.shape))
+        self.stack = stack
         self.d = d
         self.n = n
-        self.out_rows = rows
-        self.out_cols = cols
+        self.out_rows = stack.shape[0] // units
+        self.out_cols = stack.shape[1]
 
     @property
     def is_sparse(self):
-        return self._units is not None
+        return scipy.sparse.issparse(self.stack)
 
     @property
     def N(self):
@@ -107,8 +99,9 @@ class MatrixLinearMap:
         number of rounds in which P's graph peels off its sinks; no tolerance
         enters.  Computed on first use and kept; square-valued maps only.
         """
-        union = sum(u != 0 for _, u in self.iter_units())
-        pattern = scipy.sparse.csr_matrix(union, dtype=np.float64)
+        rows, cols = self.stack.nonzero()
+        pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows % self.N, cols)),
+                                          shape=(self.N, self.out_cols))
         alive = np.ones(self.out_rows, dtype=bool)
         index = 0
         while alive.any():
@@ -126,10 +119,9 @@ class MatrixLinearMap:
         return cls(np.zeros((d, n, n, rows, cols), dtype=np.complex128))
 
     def unit(self, j, p, q):
-        """A_j(E_pq) for a 1-based letter j and 0-based entry indices p, q."""
-        if self._dense is not None:
-            return self._dense[j - 1, p, q]
-        return self._units[j - 1][p][q]
+        """A_j(E_pq) for a 1-based letter j and 0-based entry indices p, q: rows of the stack."""
+        u = ((j - 1) * self.n + p) * self.n + q
+        return self.stack[u * self.N:(u + 1) * self.N]
 
     def iter_units(self):
         """Yield ((j, p, q), A_j(E_pq)) over all letters and matrix units."""
@@ -139,30 +131,24 @@ class MatrixLinearMap:
                     yield (j, p, q), self.unit(j, p, q)
 
     def apply(self, j, g):
+        """A_j(G): the level-1 ampliation with G in letter j and zero elsewhere."""
         g = np.asarray(g, dtype=np.complex128)
         if g.shape != (self.n, self.n):
             raise ValueError("argument must be %d x %d, got %s" % (self.n, self.n, g.shape))
-        if self._dense is not None:
-            return np.einsum("pq,pqrs->rs", g, self._dense[j - 1])
-        acc = scipy.sparse.csr_matrix((self.out_rows, self.out_cols), dtype=np.complex128)
-        for p in range(self.n):
-            for q in range(self.n):
-                z = g[p, q]
-                if z != 0:
-                    acc = acc + z * self._units[j - 1][p][q]
-        return acc
+        size = self.n * self.n
+        coeffs = np.zeros((1, self.d * size), dtype=np.complex128)
+        coeffs[0, (j - 1) * size:j * size] = g.ravel()
+        return _ampliate(self, coeffs, 1)
 
     def dense(self):
-        """Materialize the coefficient tensor densely (ValueError above ALLOCATION_CAP)."""
-        if self._dense is not None:
-            return self._dense
-        require_within_cap(self.d * self.n * self.n * self.out_rows * self.out_cols,
+        """The (d, n, n, N, M) coefficient tensor: a read-only view of a dense stack, a
+        copy of a sparse one (ValueError above ALLOCATION_CAP)."""
+        shape = (self.d, self.n, self.n, self.out_rows, self.out_cols)
+        if not self.is_sparse:
+            return self.stack.reshape(shape)
+        require_within_cap(self.stack.shape[0] * self.out_cols,
                            "a dense copy of the %d x %d map" % (self.out_rows, self.out_cols))
-        out = np.empty((self.d, self.n, self.n, self.out_rows, self.out_cols),
-                       dtype=np.complex128)
-        for (j, p, q), m in self.iter_units():
-            out[j - 1, p, q] = m.toarray()
-        return out
+        return self.stack.toarray().reshape(shape)
 
     def compressed(self, left, right=None):
         """The dense map G -> left A_j(G) right, one product per matrix unit.
@@ -179,11 +165,7 @@ class MatrixLinearMap:
         return MatrixLinearMap(out)
 
     def scaled(self, t):
-        if self._dense is not None:
-            return MatrixLinearMap(t * self._dense)
-        return MatrixLinearMap(
-            [[[t * m for m in row] for row in comp] for comp in self._units]
-        )
+        return MatrixLinearMap(t * self.stack, self.d, self.n)
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"
@@ -227,16 +209,16 @@ def apply(a, j, g):
 def ampliated_apply(a, x):
     """The m-fold ampliation sum_j (id_m (x) A_j)(X_j) on C^m (x) C^N.
 
-    ``x`` is a :class:`~ncreal.core.MatrixTuple` with base size equal to the
-    map's n; the result is the m x m block matrix whose (k, l) block is
-    sum_j A_j(X_j^{(k,l)}).  Dense maps return a dense array, sparse maps a
-    sparse one.
+    ``x`` is a :class:`~ncreal.core.MatrixTuple` over the map's n.  The
+    result is sum_u X_u (x) A(u), the m x m block matrix whose (k, l) block is
+    sum_j A_j(X_j^{(k,l)}): dense for a dense map, CSR for a sparse one.
 
-    A dense map contracts over (j, p, q) in one BLAS product: the (m m) x
-    (d n n) matrix of entries X_j^{(k,l)}[p, q] times the tensor viewed as a
-    (d n n) x (N M) matrix, copied from (k, l) x (r, s) into (k, r) x (l, s)
-    order.  An all-zero block X^{(k,l)} gives an exactly zero block; the last
-    bits depend on the BLAS build.
+    A dense map contracts over the units in one BLAS product: the (m m) x
+    (d n n) matrix of entries X_u[k, l] times the stack viewed as a (d n n) x
+    (N M) matrix, copied from (k, l) x (r, s) into (k, r) x (l, s) order.  An
+    all-zero block X^{(k,l)} gives an exactly zero block; the last bits depend
+    on the BLAS build.  A sparse map gives one triplet per stored entry of a
+    unit u and nonzero X_u[k, l], summed where units overlap.
     """
     if not isinstance(x, MatrixTuple):
         raise TypeError("expected a MatrixTuple")
@@ -246,19 +228,30 @@ def ampliated_apply(a, x):
             % (x.base_n, x.d, a.n, a.d)
         )
     m, n = x.level_m, a.n
-    if a.is_sparse:
-        acc = None
-        for (j, p, q), u in a.iter_units():
-            scal = x.components[j - 1][p::n, q::n]  # (k,l) -> X_j^{(k,l)}[p,q]
-            piece = scipy.sparse.kron(scipy.sparse.csr_matrix(scal), u, format="csr")
-            acc = piece if acc is None else acc + piece
-        return acc
-    units = a.d * n * n
     # rows (k, l), columns (j, p, q): entry X_j^{(k,l)}[p, q]
     blocks = np.stack(x.components).reshape(a.d, m, n, m, n).transpose(1, 3, 0, 2, 4)
-    prod = blocks.reshape(m * m, units) @ a._dense.reshape(units, a.out_rows * a.out_cols)
-    prod = prod.reshape(m, m, a.out_rows, a.out_cols).transpose(0, 2, 1, 3)
-    return prod.reshape(m * a.out_rows, m * a.out_cols)
+    return _ampliate(a, blocks.reshape(m * m, a.d * n * n), m)
+
+
+def _ampliate(a, coeffs, m):
+    """sum_u X_u (x) A(u) for the (m m) x (d n n) matrix ``coeffs`` of entries X_u[k, l]."""
+    rows, cols, stack = a.out_rows, a.out_cols, a.stack
+    if not a.is_sparse:
+        prod = coeffs @ stack.reshape(coeffs.shape[1], rows * cols)
+        prod = prod.reshape(m, m, rows, cols).transpose(0, 2, 1, 3)
+        return prod.reshape(m * rows, m * cols)
+    # X_u[k, l] A(u)[r, s] lands at (k N + r, l M + s); the stored entries of
+    # unit u are the CSR range [indptr[u N], indptr[(u + 1) N])
+    kl, u = np.nonzero(coeffs)
+    first = stack.indptr[u * rows]
+    counts = stack.indptr[(u + 1) * rows] - first
+    pair = np.repeat(np.arange(len(u)), counts)
+    entry = np.arange(len(pair)) + (first - np.cumsum(counts) + counts)[pair]
+    k, l = np.divmod(kl, m)
+    r = np.searchsorted(stack.indptr, entry, side="right") - 1 + ((k - u) * rows)[pair]
+    s = stack.indices[entry] + (l * cols)[pair]
+    data = coeffs[kl, u][pair] * stack.data[entry]
+    return scipy.sparse.csr_matrix((data, (r, s)), shape=(m * rows, m * cols))
 
 
 def word_apply(a, word, args):
@@ -284,7 +277,7 @@ def adjoint_word_apply(a, word, args):
     prod = np.eye(a.out_rows, dtype=np.complex128)
     for letter, g in zip(word, args):
         factor = a.apply(letter, np.conj(np.asarray(g)).T)
-        if _is_sparse(factor):
+        if scipy.sparse.issparse(factor):
             factor = factor.toarray()
         prod = np.conj(factor).T @ prod
     return prod
@@ -312,7 +305,7 @@ def cb_row_norm_bound(a):
     left = np.zeros((a.out_rows, a.out_rows), dtype=np.complex128)
     right = np.zeros((a.out_cols, a.out_cols), dtype=np.complex128)
     for _, u in a.iter_units():
-        if _is_sparse(u):
+        if scipy.sparse.issparse(u):
             u = u.toarray()
         left += _psd_sqrt(u @ np.conj(u).T)
         right += _psd_sqrt(np.conj(u).T @ u)

@@ -463,31 +463,27 @@ def pole_order(r, x):
     computed as the first k with rank((I - T)^k) = rank((I - T)^{k+1}).
     """
     _, _, m, verdict = _decide(r, x)
-    return 0 if verdict.in_domain else _pole_order(m)
+    return 0 if verdict.in_domain else _pole_order(m, verdict.sigma_max)
 
 
-def _pole_order(m):
-    """The rank ladder of :func:`pole_order` on the dense pencil I - T outside the domain."""
+def _pole_order(m, sigma_max):
+    """The rank ladder of :func:`pole_order` on the dense pencil I - T outside the
+    domain, given its largest singular value.  One SVD per power gives its rank
+    and the normalizer for the next product."""
     size = m.shape[0]
-    norm = np.linalg.norm(m, 2)
-    if norm == 0.0:
+    if sigma_max == 0.0:
         return 1  # I - T = 0 only when T = I, a diagonalizable pole
-    m = m / norm
-
-    def rank_of(mat):
-        s = np.linalg.svd(mat, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(s > POLE_RANK_RTOL * s[0]))
-
+    m = m / sigma_max
     prev = size  # rank of (I - T)^0
     power = np.eye(size, dtype=np.complex128)
     for k in range(1, size + 2):
         power = power @ m
-        nrm = np.linalg.norm(power, 2)
-        if nrm > 0:
-            power = power / nrm
-        cur = rank_of(power)
+        s = np.linalg.svd(power, compute_uv=False)
+        if s[0] == 0.0:
+            cur = 0
+        else:
+            cur = int(np.count_nonzero(s > POLE_RANK_RTOL * s[0]))
+            power = power / s[0]
         if cur == prev:
             return k - 1
         prev = cur

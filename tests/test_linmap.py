@@ -260,10 +260,11 @@ def union_pattern_index(coeffs):
 
 
 def as_sparse_map(coeffs):
+    """The map of a (d, n, n, N, M) tensor, stored as one CSR stack."""
     import scipy.sparse
 
-    return MatrixLinearMap([[[scipy.sparse.csr_matrix(u) for u in row] for row in comp]
-                            for comp in coeffs])
+    d, n, _, rows, cols = coeffs.shape
+    return MatrixLinearMap(scipy.sparse.csr_matrix(coeffs.reshape(d * n * n * rows, cols)), d, n)
 
 
 class TestNilpotencyIndex:
@@ -316,6 +317,87 @@ class TestNilpotencyIndex:
         assert a.__dict__["nilpotency_index"] is None
 
 
+def overlapping_coeffs(rng, d, n, size, nilpotent):
+    """Random units, each on most of one shared pattern, so that they overlap; the
+    pattern is strictly upper triangular when ``nilpotent``."""
+    shared = rng.random((size, size)) < 0.6
+    if nilpotent:
+        shared = np.triu(shared, 1)
+    support = shared & (rng.random((d, n, n, size, size)) < 0.8)
+    return cmat(rng, d * n * n * size, size).reshape(d, n, n, size, size) * support
+
+
+def fock_map(n, d, L, scale=0.5):
+    from ncreal.core import CentrePoint
+    from ncreal.fock import TruncatedFockVector, fock_realization
+
+    h = TruncatedFockVector(n, d, L, {((1,), (1,), ()): 1.0})
+    return fock_realization(h, CentrePoint([np.zeros((n, n))] * d), scale).A
+
+
+class TestStack:
+    """A dense stack and a CSR stack of the same coefficients agree in every accessor."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dense_and_sparse_storage_agree(self, seed):
+        import scipy.sparse
+
+        rng = np.random.default_rng(seed)
+        d, n, size = 1 + seed % 3, 1 + seed % 2, 5
+        coeffs = overlapping_coeffs(rng, d, n, size, nilpotent=seed % 2 == 0)
+        dense, sparse = MatrixLinearMap(coeffs), as_sparse_map(coeffs)
+        assert not dense.is_sparse and scipy.sparse.isspmatrix_csr(sparse.stack)
+        assert dense.stack.shape == sparse.stack.shape == (d * n * n * size, size)
+        assert np.array_equal(dense.dense(), coeffs) and np.array_equal(sparse.dense(), coeffs)
+        for ((key, u), (same, v)) in zip(dense.iter_units(), sparse.iter_units()):
+            j, p, q = key
+            assert key == same
+            assert np.array_equal(u, coeffs[j - 1, p, q])
+            assert np.array_equal(v.toarray(), u)
+            assert np.array_equal(sparse.unit(j, p, q).toarray(), dense.unit(j, p, q))
+        g = cmat(rng, n, n)
+        for j in range(1, d + 1):
+            assert scipy.sparse.issparse(sparse.apply(j, g))
+            assert_allclose(sparse.apply(j, g).toarray(), dense.apply(j, g), atol=1e-14)
+            assert_allclose(dense.apply(j, g), np.einsum("pq,pqrs->rs", g, coeffs[j - 1]),
+                            atol=1e-14)
+        for t in (0.5 - 2j, 0.0):
+            assert np.array_equal(sparse.scaled(t).dense(), dense.scaled(t).dense())
+        assert sparse.nilpotency_index == dense.nilpotency_index
+        assert (dense.nilpotency_index is not None) == (seed % 2 == 0)
+        for m in (1, 2, 3):
+            x = random_tuple(rng, n, m, d)
+            t = ampliated_apply(sparse, x)
+            assert scipy.sparse.isspmatrix_csr(t) and t.dtype == np.complex128
+            assert_allclose(t.toarray(), ampliated_apply(dense, x), atol=1e-13)
+            assert_allclose(t.toarray(), TestAmpliatedApply.unit_oracle(dense, x), atol=1e-13)
+
+    @pytest.mark.parametrize("n,d,L", [(1, 2, 3), (2, 1, 2), (2, 2, 1), (1, 3, 2)])
+    def test_fock_ampliation_is_the_kronecker_sum(self, n, d, L):
+        # the units of a Fock map do not overlap: every entry of T is one product
+        import scipy.sparse
+
+        rng = np.random.default_rng(n * 100 + d * 10 + L)
+        a = fock_map(n, d, L)
+        assert a.is_sparse and a.nilpotency_index is not None
+        for m in (1, 2, 3):
+            x = random_tuple(rng, n, m, d)
+            expected = sum(np.kron(x.components[j - 1][p::n, q::n], u.toarray())
+                           for (j, p, q), u in a.iter_units())
+            got = ampliated_apply(a, x)
+            assert scipy.sparse.isspmatrix_csr(got) and got.dtype == np.complex128
+            assert got.nnz == np.count_nonzero(expected)
+            assert np.array_equal(got.toarray(), expected)
+
+    def test_stack_constructor_checks_its_rows(self):
+        import scipy.sparse
+
+        with pytest.raises(ValueError, match="multiple of 8 rows"):
+            MatrixLinearMap(scipy.sparse.csr_matrix((12, 3)), 2, 2)
+        with pytest.raises(ValueError, match="5 axes"):
+            MatrixLinearMap(np.zeros((4, 3)))
+
+
 class TestSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(18)
@@ -329,10 +411,7 @@ class TestSerialization:
         rng = np.random.default_rng(19)
         dense = cmat(rng, 1 * 2 * 2 * 3, 3).reshape(1, 2, 2, 3, 3)
         a_dense = MatrixLinearMap(dense)
-        a_sparse = MatrixLinearMap(
-            [[[scipy.sparse.csr_matrix(dense[0, p, q]) for q in range(2)]
-              for p in range(2)]]
-        )
+        a_sparse = MatrixLinearMap(scipy.sparse.csr_matrix(dense.reshape(12, 3)), 1, 2)
         g = cmat(rng, 2, 2)
         assert_allclose(a_sparse.apply(1, g).toarray(), a_dense.apply(1, g), atol=1e-14)
         x = random_tuple(rng, 2, 2, 1)
@@ -344,8 +423,8 @@ class TestSerialization:
 
         from ncreal import core
 
-        units = [[[scipy.sparse.identity(3, dtype=np.complex128, format="csr")] * 2] * 2]
-        a = MatrixLinearMap(units)                 # 1 x 2 x 2 x 3 x 3 = 36 entries
+        # four identity units: 1 x 2 x 2 x 3 x 3 = 36 entries
+        a = MatrixLinearMap(scipy.sparse.csr_matrix(np.tile(np.eye(3), (4, 1))), 1, 2)
         monkeypatch.setattr(core, "ALLOCATION_CAP", 35)
         with pytest.raises(ValueError, match="36 entries, more than the cap of 35"):
             a.dense()

@@ -106,8 +106,8 @@ class TestInDomain:
 def unipotent_realization(t, sparse):
     """n = d = 1, N = 2 data whose pencil at X = 1 about Y = 0 is [[1, t], [0, 1]]."""
     unit = np.array([[0.0, -t], [0.0, 0.0]], dtype=np.complex128)
-    amap = MatrixLinearMap([[[scipy.sparse.csr_matrix(unit)]]] if sparse
-                           else unit.reshape(1, 1, 1, 2, 2))
+    amap = (MatrixLinearMap(scipy.sparse.csr_matrix(unit), 1, 1) if sparse
+            else MatrixLinearMap(unit.reshape(1, 1, 1, 2, 2)))
     centre = CentrePoint([np.zeros((1, 1))])
     return DescriptorRealization(amap, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
                                  centre)
@@ -212,7 +212,7 @@ class TestEvaluationKernel:
         # cycle 0 -> 1 -> 0; at X = (3, 0.1) about 0, T = [[0, 3], [0.1, 0]]
         units = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])]
         coeffs = np.array(units, dtype=np.complex128).reshape(2, 1, 1, 2, 2)
-        amap = (MatrixLinearMap([[[scipy.sparse.csr_matrix(u)]] for u in units]) if sparse
+        amap = (MatrixLinearMap(scipy.sparse.csr_matrix(np.vstack(units)), 2, 1) if sparse
                 else MatrixLinearMap(coeffs))
         r = DescriptorRealization(amap, np.eye(2, 1), np.eye(2, 1),
                                   CentrePoint([np.zeros((1, 1))] * 2))
@@ -416,6 +416,26 @@ class TestPoleOrder:
         y = CentrePoint([np.zeros((1, 1))])
         r = DescriptorRealization(amap, np.ones((2, 1)), np.ones((2, 1)), y)
         assert pole_order(r, scalar_point(1.0)) == 2
+
+    def test_one_svd_per_rung(self, monkeypatch):
+        # a 3 x 3 Jordan block at 1: ranks 2, 1, 0, 0 on rungs 1..4 give order 3;
+        # the verdict takes one SVD and each rung one more, norms included
+        jordan = np.eye(3) + np.eye(3, k=1)
+        amap = MatrixLinearMap(jordan.reshape(1, 1, 1, 3, 3).astype(complex))
+        r = DescriptorRealization(amap, np.ones((3, 1)), np.ones((3, 1)),
+                                  CentrePoint([np.zeros((1, 1))]))
+        assert amap.cb_bound > 0   # kept per map; its two norms are not the ladder's
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", counted)
+        assert pole_order(r, scalar_point(1.0)) == 3
+        assert len(calls) == 1 + 4
 
     def test_diagonalizable_pole_is_simple(self):
         amap = MatrixLinearMap(np.eye(3).reshape(1, 1, 1, 3, 3).astype(complex))
