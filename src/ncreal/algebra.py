@@ -115,8 +115,7 @@ def desc_to_fm(r):
     """
     from .analysis import invariant_subspace  # deferred: analysis imports us
 
-    units = [u for _, u in r.A.iter_units()]
-    v = invariant_subspace(units, np.hstack([u @ r.c for u in units]))
+    v = invariant_subspace(r.A, r.A.images(r.c))
     vh = np.conj(v).T
     bstar = np.conj(r.b).T
     return FMRealization(r.A.compressed(vh, v), r.A.compressed(vh, r.c), bstar @ v,

@@ -28,7 +28,6 @@ A_j) the second, (A_i, c) the third and (A_i, A_j) the fourth.
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .core import (
     RANK_RTOL,
@@ -39,6 +38,7 @@ from .core import (
     invert_checked,
     require_invertible,
     require_nonnegative,
+    require_within_cap,
 )
 from .linmap import MatrixLinearMap, ampliated_apply
 from .realization import (
@@ -76,36 +76,32 @@ SWEEP_COLUMN_BUDGET = 40000
 SWEEP_CHUNK_ENTRIES = 300000
 
 
-def _orth(m):
-    """Orthonormal basis of the column span, rank-truncated by pivoted QR."""
+def _orth(m, scale=None):
+    """Orthonormal basis of the column span: the pivoted-QR directions whose pivot
+    exceeds RANK_RTOL * ``scale``, by default the largest column norm of m."""
     m = np.asarray(m, dtype=np.complex128)
     if m.shape[1] == 0 or not np.any(m):
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     q, r, _ = scipy.linalg.qr(m, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))            # diag[0] > 0: the largest column norm
-    rank = int(np.count_nonzero(diag > RANK_RTOL * diag[0]))
+    rank = int(np.count_nonzero(diag > RANK_RTOL * (diag[0] if scale is None else scale)))
     return q[:, :rank]
 
 
-def _adj(m):
-    if scipy.sparse.issparse(m):
-        return m.conj().T.tocsr()
-    return np.conj(m).T
+def invariant_subspace(a, seed, steps=None):
+    """Smallest subspace containing Ran(seed) and invariant under the units of the map a.
 
-
-def invariant_subspace(generators, seed, steps=None):
-    """Smallest subspace containing Ran(seed) and invariant under the generators.
-
-    Iterates S <- S + sum_g g S, so step k spans {g_w seed : |w| <= k}, until
-    the rank stabilizes (at most N steps) or ``steps`` steps have been taken.
+    Iterates S <- S + sum_u A(u) S, so step k spans {A^w(units) seed : |w| <= k},
+    until the rank stabilizes (at most N steps) or after ``steps`` steps.
     """
-    seed = np.asarray(seed, dtype=np.complex128)
-    ambient = seed.shape[0]
-    basis = _orth(seed)
+    return _grown(a, _orth(seed), steps)
+
+
+def _grown(a, basis, steps=None):
+    """:func:`invariant_subspace` from the orthonormal basis of its seed."""
     taken = 0
-    while 0 < basis.shape[1] < ambient and (steps is None or taken < steps):
-        images = [g @ basis for g in generators]
-        grown = _orth(np.hstack([basis] + images))
+    while 0 < basis.shape[1] < basis.shape[0] and (steps is None or taken < steps):
+        grown = _orth(np.hstack([basis, a.images(basis)]))
         if grown.shape[1] == basis.shape[1]:
             return grown
         basis = grown
@@ -116,13 +112,13 @@ def invariant_subspace(generators, seed, steps=None):
 def controllable_basis(r):
     """Orthonormal N x k basis of the controllable subspace: the span of all
     A^w(units) applied to the realization's controllable seed."""
-    return invariant_subspace([u for _, u in r.A.iter_units()], r.controllable_seed)
+    return invariant_subspace(r.A, r.controllable_seed)
 
 
 def observable_basis(r):
     """Orthonormal N x k basis of the observable subspace: the span of all
     adjoint words applied to the realization's observable seed."""
-    return invariant_subspace([_adj(u) for _, u in r.A.iter_units()], r.observable_seed)
+    return invariant_subspace(r.A.adjoint(), r.observable_seed)
 
 
 def is_minimal(r):
@@ -136,13 +132,13 @@ def kalman_minimize(r):
     The minimal subspace C ominus (C cap O-perp) is the observable subspace
     of the realization restricted to the A-invariant controllable subspace C,
     so it is computed inside the controllable coordinates (cheap even when
-    the ambient space is huge).
+    the ambient space is huge).  The projected observable seed is rank-cut against
+    the seed before projection, so a seed projected to roundoff spans nothing.
     """
     vc = controllable_basis(r)
     vch = np.conj(vc).T
-    inner = r.A.compressed(vch, vc)
-    vo = invariant_subspace([_adj(u) for _, u in inner.iter_units()],
-                            vch @ r.observable_seed)
+    scale = np.linalg.norm(r.observable_seed, axis=0).max(initial=0.0)
+    vo = _grown(r.A.compressed(vch, vc).adjoint(), _orth(vch @ r.observable_seed, scale))
     return r.restricted(vc @ vo)
 
 
@@ -153,8 +149,10 @@ def translate(r, x):
     A'_j(G) = L_A(X - I_m (x) Y)^{-1} (id_m (x) A_j)(G), b' = I_m (x) b and
     c' = L_A(X - I_m (x) Y)^{-1} (I_m (x) c).  The evaluation kernel decides
     the domain; outside it, SingularMatrixError carries the pencil's sigma_min.
+    A map of d (mn)^2 (mN)^2 entries above ALLOCATION_CAP raises ValueError first.
     """
     m, n, nstate = x.level_m, r.n, r.N
+    require_within_cap(r.d * (m * m * n * nstate) ** 2, "the map translated to level %d" % m)
     p, verdict = _decided_pencil(r, x)
     if not verdict.in_domain:
         raise SingularMatrixError("cannot translate: point outside the invertibility "
@@ -287,13 +285,14 @@ def moment_via_nilpotent(rz, word, args, r=1.0):
 # ---------------------------------------------------------------------------
 
 def _ladders(r, half):
-    """Split Hankel ladders: exact-length stacks of unit words applied to c and b."""
-    gens = [u for _, u in r.A.iter_units()]
+    """Split Hankel ladders of unit words applied to c and b, one product per ``unit()``:
+    the exact oracle that tests hold the subspace test against shares no kernel with it."""
+    units = [r.A.unit(j + 1, p, q) for j, p, q in np.ndindex(r.d, r.n, r.n)]
     cs = [np.asarray(r.c, dtype=np.complex128)]
     os_ = [np.asarray(r.b, dtype=np.complex128)]
     for _ in range(half):
-        cs.append(np.hstack([g @ cs[-1] for g in gens]))
-        os_.append(np.hstack([_adj(g) @ os_[-1] for g in gens]))
+        cs.append(np.hstack([u @ cs[-1] for u in units]))
+        os_.append(np.hstack([u.conj().T @ os_[-1] for u in units]))
     return os_, cs
 
 
@@ -378,8 +377,7 @@ def _subspace_test(r1, r2, depth, tol):
     """The test of :func:`compare_moments` on two checked realizations:
     (equivalent, residual, allowed, V), with V the tested orthonormal basis."""
     diff = _difference_realization(r1, r2)
-    gens = [u for _, u in diff.A.iter_units()]
-    v = invariant_subspace(gens, diff.c, steps=depth)
+    v = invariant_subspace(diff.A, diff.c, steps=depth)
     residual = float(np.linalg.norm(np.conj(diff.b).T @ v, 2)) if v.shape[1] else 0.0
     allowed = tol * max(1.0, float(np.linalg.norm(diff.b, 2)))
     return residual <= allowed, residual, allowed, v

@@ -203,10 +203,9 @@ class MatrixTuple:
                     "components disagree in shape: component 1 is %s, component %d is %s"
                     % (comps[0].shape, j + 1, c.shape)
                 )
-        if base_n < 1 or side % base_n != 0:
-            raise ValueError(
-                "component side %d is not a multiple of centre size %d" % (side, base_n)
-            )
+        if base_n < 1 or side < 1 or side % base_n != 0:
+            raise ValueError("component side %d is not a positive multiple of centre size %d"
+                             % (side, base_n))
         for c in comps:
             c.flags.writeable = False
         self.components = tuple(comps)
@@ -277,6 +276,8 @@ class MatrixTuple:
     @classmethod
     def from_json(cls, obj, where="tuple"):
         n, m, d = (json_field(obj, key, int, where) for key in ("n", "m", "d"))
+        if not n * m:
+            raise ValueError("%s.%s must be at least 1, got 0" % (where, "m" if n else "n"))
         flats = json_field(obj, "components", list, where)
         side = n * m
         if len(flats) != d or any(not isinstance(f, list) or len(f) != side * side

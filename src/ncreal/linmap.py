@@ -13,6 +13,12 @@ read-only C-contiguous array, whose reshape to (d, n, n, N, M) is free, or,
 for the large state spaces of the Fock construction, one CSR matrix whose
 stored entries are the nonzero (j, p, q, row, col) triplets.
 
+The stack is the one home of the unit-wise products: ``images(V)`` = [A(1) V |
+A(2) V | ...] is one ``stack @ V``; ``adjoint()``, the units A(u)*, is a
+transposed copy or a re-index of the CSR triplets; ``compressed(L, R)`` is one
+``stack @ R`` and one batched ``L @``; :func:`cb_row_norm_bound` is one
+batched eigendecomposition of each unit Gram stack.
+
 The level-m ampliation sum_j (id_m (x) A_j)(X_j), from which every pencil
 and every FM input is built, is T = sum_u X_u (x) A(u), where X_u is the
 m x m matrix of entries X_j^{(k,l)}[p, q]: one matrix product for a dense
@@ -73,16 +79,13 @@ class MatrixLinearMap:
         self.stack = stack
         self.d = d
         self.n = n
+        self.units = units
         self.out_rows = stack.shape[0] // units
         self.out_cols = stack.shape[1]
 
     @property
     def is_sparse(self):
         return scipy.sparse.issparse(self.stack)
-
-    @property
-    def N(self):
-        return self.out_rows
 
     @cached_property
     def cb_bound(self):
@@ -100,8 +103,8 @@ class MatrixLinearMap:
         enters.  Computed on first use and kept; square-valued maps only.
         """
         rows, cols = self.stack.nonzero()
-        pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows % self.N, cols)),
-                                          shape=(self.N, self.out_cols))
+        pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows % self.out_rows, cols)),
+                                          shape=(self.out_rows, self.out_cols))
         alive = np.ones(self.out_rows, dtype=bool)
         index = 0
         while alive.any():
@@ -121,14 +124,7 @@ class MatrixLinearMap:
     def unit(self, j, p, q):
         """A_j(E_pq) for a 1-based letter j and 0-based entry indices p, q: rows of the stack."""
         u = ((j - 1) * self.n + p) * self.n + q
-        return self.stack[u * self.N:(u + 1) * self.N]
-
-    def iter_units(self):
-        """Yield ((j, p, q), A_j(E_pq)) over all letters and matrix units."""
-        for j in range(1, self.d + 1):
-            for p in range(self.n):
-                for q in range(self.n):
-                    yield (j, p, q), self.unit(j, p, q)
+        return self.stack[u * self.out_rows:(u + 1) * self.out_rows]
 
     def apply(self, j, g):
         """A_j(G): the level-1 ampliation with G in letter j and zero elsewhere."""
@@ -150,19 +146,31 @@ class MatrixLinearMap:
                            "a dense copy of the %d x %d map" % (self.out_rows, self.out_cols))
         return self.stack.toarray().reshape(shape)
 
-    def compressed(self, left, right=None):
-        """The dense map G -> left A_j(G) right, one product per matrix unit.
+    def images(self, v):
+        """[A(1) V | A(2) V | ...]: the images of the M-row matrix V under every unit, in
+        unit order, from one product ``stack @ V``."""
+        prod = (self.stack @ v).reshape(self.units, self.out_rows, v.shape[1])
+        return prod.transpose(1, 0, 2).reshape(self.out_rows, self.units * v.shape[1])
 
-        Each unit is computed as ``left @ (A_j(E_pq) @ right)``, or ``left @
-        A_j(E_pq)`` when ``right`` is None.  A sparse map is never densified:
-        its units multiply the dense factors directly.
-        """
-        rows = left.shape[0]
-        cols = self.out_cols if right is None else right.shape[1]
-        out = np.empty((self.d, self.n, self.n, rows, cols), dtype=np.complex128)
-        for (j, p, q), u in self.iter_units():
-            out[j - 1, p, q] = left @ u if right is None else left @ (u @ right)
-        return MatrixLinearMap(out)
+    def adjoint(self):
+        """The map whose units are A(u)*, in the same order: a transposed copy of a dense
+        stack, one re-index of a sparse stack's triplets, which stays sparse."""
+        rows, cols = self.out_rows, self.out_cols
+        if self.is_sparse:   # entry (u N + r, s) of unit u moves to (u M + s, r)
+            entries = self.stack.tocoo()
+            u, r = np.divmod(entries.row, rows)
+            stack = scipy.sparse.csr_matrix((np.conj(entries.data), (u * cols + entries.col, r)),
+                                            shape=(self.units * cols, rows))
+        else:
+            stack = np.conj(self.stack.reshape(self.units, rows, cols)).transpose(0, 2, 1)
+        return MatrixLinearMap(stack.reshape(self.units * cols, rows), self.d, self.n)
+
+    def compressed(self, left, right):
+        """The dense map G -> left A_j(G) right: one product ``stack @ right``, then one
+        batched ``left @``.  A sparse map is never densified."""
+        prod = (self.stack @ right).reshape(self.units, self.out_rows, right.shape[1])
+        return MatrixLinearMap((left @ prod).reshape(self.units * left.shape[0],
+                                                     right.shape[1]), self.d, self.n)
 
     def scaled(self, t):
         return MatrixLinearMap(t * self.stack, self.d, self.n)
@@ -274,19 +282,18 @@ def adjoint_word_apply(a, word, args):
         raise ValueError("word products need square-valued maps")
     if len(word) != len(args):
         raise ValueError("word of length %d got %d arguments" % (len(word), len(args)))
+    star = a.adjoint()
     prod = np.eye(a.out_rows, dtype=np.complex128)
     for letter, g in zip(word, args):
-        factor = a.apply(letter, np.conj(np.asarray(g)).T)
-        if scipy.sparse.issparse(factor):
-            factor = factor.toarray()
-        prod = np.conj(factor).T @ prod
+        prod = star.apply(letter, np.asarray(g).T) @ prod   # A_j(G^*)^* = A^*_j(G^T)
     return prod
 
 
-def _psd_sqrt(h):
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ np.conj(v).T
+def _root_sum_norm(grams):
+    """||sum_u G_u^{1/2}||_2 over a stack of Hermitian positive semidefinite G_u."""
+    w, v = np.linalg.eigh(grams)
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
+    return float(np.linalg.norm(roots.sum(axis=0), 2)) if roots.size else 0.0
 
 
 def cb_row_norm_bound(a):
@@ -300,15 +307,8 @@ def cb_row_norm_bound(a):
 
     over the coefficients B = A_j(E_pq).  Whenever a level-m tuple H has
     column norm below 1/r, the ampliated image sum_j (id_m (x) A_j)(H_j) has
-    operator norm (hence spectral radius) below 1.
+    operator norm (hence spectral radius) below 1.  Needs ``dense()``, within the cap.
     """
-    left = np.zeros((a.out_rows, a.out_rows), dtype=np.complex128)
-    right = np.zeros((a.out_cols, a.out_cols), dtype=np.complex128)
-    for _, u in a.iter_units():
-        if scipy.sparse.issparse(u):
-            u = u.toarray()
-        left += _psd_sqrt(u @ np.conj(u).T)
-        right += _psd_sqrt(np.conj(u).T @ u)
-    lam_left = float(np.linalg.norm(left, 2)) if left.size else 0.0
-    lam_right = float(np.linalg.norm(right, 2)) if right.size else 0.0
-    return float(np.sqrt(lam_left * lam_right))
+    units = a.dense().reshape(a.units, a.out_rows, a.out_cols)
+    adjoints = np.conj(units).transpose(0, 2, 1)
+    return float(np.sqrt(_root_sum_norm(units @ adjoints) * _root_sum_norm(adjoints @ units)))

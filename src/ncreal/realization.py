@@ -187,7 +187,7 @@ class FMRealization:
     @property
     def controllable_seed(self):
         """The columns of every B_j(E_pq): their A-words span the controllable subspace."""
-        return np.hstack([u for _, u in self.B.iter_units()])
+        return self.B.images(np.eye(self.n))
 
     @property
     def observable_seed(self):
@@ -197,8 +197,8 @@ class FMRealization:
     def restricted(self, v):
         """(V*AV, V*B, CV, D) on the span of the orthonormal columns of V."""
         vh = np.conj(v).T
-        return FMRealization(self.A.compressed(vh, v), self.B.compressed(vh), self.C @ v,
-                             self.D, self.Y)
+        return FMRealization(self.A.compressed(vh, v), self.B.compressed(vh, np.eye(self.n)),
+                             self.C @ v, self.D, self.Y)
 
     def __repr__(self):
         return "FMRealization(N=%d, n=%d, d=%d)" % (self.N, self.n, self.d)

@@ -4,6 +4,8 @@ Everything is seeded through numpy Generators so runs are reproducible; the
 expression corpus used by several suites is built once per session.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,11 @@ def unit_column_tuple(rng, n, m, d):
 
 def random_linmap(rng, d, n, N, scale=0.5):
     return MatrixLinearMap(cmat(rng, d * n * n * N, N, scale).reshape(d, n, n, N, N))
+
+
+def unit_keys(a):
+    """(j, p, q) for every unit A_j(E_pq) of the map a, in stack order (1-based j)."""
+    return itertools.product(range(1, a.d + 1), range(a.n), range(a.n))
 
 
 def random_descriptor(rng, n, N, d, y=None, scale=0.5):

@@ -12,6 +12,7 @@ from conftest import (
     random_descriptor,
     random_invertible,
     unit_column_tuple,
+    unit_keys,
 )
 
 from ncreal.core import (
@@ -22,14 +23,15 @@ from ncreal.core import (
     matrix_units,
 )
 from ncreal.parser import parse, realize_expression
-from ncreal.linmap import MatrixLinearMap, ampliated_apply
+from ncreal.linmap import MatrixLinearMap, ampliated_apply, cb_row_norm_bound
 from ncreal.realization import (
     DescriptorRealization,
     in_domain,
     moment,
     transfer,
 )
-from ncreal.algebra import constant_fm, fm_to_desc
+from ncreal.algebra import constant_fm, coordinate_fm, desc_to_fm, fm_to_desc
+from ncreal.fock import TruncatedFockVector, fock_realization
 from ncreal import analysis
 from ncreal.analysis import (
     SWEEP_COLUMN_BUDGET,
@@ -172,6 +174,65 @@ class TestKalman:
         minimized = kalman_minimize(both)
         assert minimized.N == r.N
         assert max_moment_deviation(both, minimized, 6) < 1e-10
+
+
+class TestKalmanEdgeCases:
+    @pytest.mark.parametrize("text", ["x1 - x1", "x1*x2 - x1*x2"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_function_minimizes_to_no_state(self, text, n):
+        # the projected observable seed is roundoff (about 1e-16 against ||b|| ~ 1):
+        # it is cut against the seed before projection, not against itself
+        y = random_centre(np.random.default_rng(50 + n), n, 2)
+        fm = realize_expression(parse(text, 2, {}), y)
+        desc = fm_to_desc(fm)
+        assert fm.N > 0 and desc.N > 0
+        assert kalman_minimize(fm).N == 0
+        assert kalman_minimize(desc).N == 0
+        assert compare_moments(desc, kalman_minimize(desc), 4, 1e-9)[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_constant_and_coordinate_realizations(self, n):
+        # N = 0 (constant_fm) and N = n (coordinate_fm) through the stack kernels
+        rng = np.random.default_rng(60 + n)
+        y = random_centre(rng, n, 2)
+        x = point_near_centre(rng, y, 2, 0.3)
+        for fm, fm_dim, desc_dim in ((constant_fm(cmat(rng, n, n), y), 0, n),
+                                     (constant_fm(np.zeros((n, n)), y), 0, 0),
+                                     (coordinate_fm(1, y), n, 2 * n),
+                                     (coordinate_fm(2, y), n, 2 * n)):
+            desc = fm_to_desc(fm)
+            assert kalman_minimize(fm).N == fm_dim and is_minimal(fm)
+            assert kalman_minimize(desc).N == desc_dim
+            assert is_minimal(desc) == (desc_dim == desc.N)
+            back = desc_to_fm(desc)
+            assert back.N == fm_dim
+            assert_allclose(transfer(back, x), transfer(fm, x), atol=1e-12)
+
+    def test_no_structure_path_walks_the_units_one_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        dense = kalman_minimize(random_descriptor(rng, 2, 3, 2, scale=0.5))
+        twin = conjugated_realization(dense, random_invertible(rng, dense.N, spread=0.4))
+        fock = fock_realization(TruncatedFockVector(2, 2, 1, {
+            ((1,), (1,), ()): 1.0, ((1, 2), (2, 1), (1,)): 0.5 - 0.25j}), dense.Y)
+        assert fock.A.is_sparse
+
+        def refuse(*args):
+            raise AssertionError("a structure path read the map one unit at a time")
+
+        monkeypatch.setattr(MatrixLinearMap, "unit", refuse)
+        for r in (dense, fock):
+            small = kalman_minimize(r)
+            assert is_minimal(small) and is_minimal(r) == (small.N == r.N)
+            assert compare_moments(r, small, 3, 1e-9)[0]
+            fm = desc_to_fm(r)
+            assert compare_moments(r, fm_to_desc(kalman_minimize(fm)), 3, 1e-9)[0]
+            for real, k in ((r, 2), (fm, 1)):
+                v = np.linalg.qr(cmat(rng, real.N, k))[0]
+                vh = np.conj(v).T
+                assert_allclose(real.restricted(v).A.dense(), vh @ real.A.dense() @ v,
+                                atol=1e-12)
+            assert cb_row_norm_bound(r.A) > 0 and cb_row_norm_bound(fm.B) > 0
+        assert_allclose(recover_similarity(dense, twin) @ dense.c, twin.c, atol=1e-8)
 
 
 class TestTranslate:
@@ -600,7 +661,7 @@ class TestEquivalenceCriterion:
             assert allowed == 1e-9 * max(1.0, np.linalg.norm(diff.b, 2))
             # residual = ||b* V||_2 bounds every unit moment deviation through
             # depth by residual * ||A^w(units) c||_F
-            gens = [u for _, u in diff.A.iter_units()]
+            gens = [diff.A.unit(j, p, q) for j, p, q in unit_keys(diff.A)]
             ladder = [diff.c]
             for _ in range(depth):
                 ladder.append(np.hstack([g @ ladder[-1] for g in gens]))
@@ -644,8 +705,8 @@ class TestRecoverSimilarity:
         s = recover_similarity(r1, r2)
         assert_allclose(s @ r1.c, r2.c, atol=1e-8)
         assert_allclose(np.conj(r1.b).T, np.conj(r2.b).T @ s, atol=1e-8)
-        for (j, p, q), a1 in r1.A.iter_units():
-            assert_allclose(s @ a1, r2.A.unit(j, p, q) @ s, atol=1e-8)
+        for j, p, q in unit_keys(r1.A):
+            assert_allclose(s @ r1.A.unit(j, p, q), r2.A.unit(j, p, q) @ s, atol=1e-8)
 
     def test_builds_the_graph_subspace_once(self, monkeypatch):
         rng = np.random.default_rng(38)

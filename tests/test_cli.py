@@ -14,7 +14,8 @@ import ncreal
 from ncreal import analysis
 from ncreal.analysis import is_minimal
 from ncreal.cli import SCHEMA_VERSION, _build_parser, main
-from ncreal.core import INVERTIBILITY_RTOL, CentrePoint, MatrixTuple
+from ncreal.algebra import fm_to_desc
+from ncreal.core import ALLOCATION_CAP, INVERTIBILITY_RTOL, CentrePoint, MatrixTuple
 from ncreal.realization import load_realization, save_realization
 from ncreal.fock import TruncatedFockVector
 
@@ -156,6 +157,37 @@ class TestMinimizeCertifyTranslateEquiv:
         assert report["equivalent"] is True and report["depth"] == 4
         assert report["residual"] <= report["allowed"]
         assert report["residual"] < 1e-10
+
+    @pytest.mark.parametrize("text,after", [("x1 - x1", 0), ("x1*x2 - x1*x2", 0), ("3", 2)])
+    def test_zero_and_constant_functions_minimize(self, workdir, capsys, text, after):
+        # a zero function keeps no state; the constant 3 (an FM realization with no
+        # state) keeps the n = 2 states that carry b* c in descriptor form
+        (workdir / "f.expr").write_text(text + "\n")
+        run(capsys, "realize", workdir / "f.expr", workdir / "centre.json",
+            "--out", workdir / "f.json")
+        code, out = run(capsys, "minimize", workdir / "f.json", "--out", workdir / "fmin.json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["dimension_after"] == after
+        assert report["moment_match_residual"] <= report["moment_match_allowed"]
+        assert load_realization(workdir / "fmin.json").N == after
+
+    def test_translate_refused_above_the_cap_in_one_line(self, workdir, capsys):
+        run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+            "--out", workdir / "p.json")
+        r = fm_to_desc(load_realization(workdir / "p.json"))
+        centre = CentrePoint.load(workdir / "centre.json")
+        # the translated map holds d (mn)^2 (mN)^2 entries: past the cap at this level
+        m = next(m for m in range(1, 64) if r.d * (2 * m * m) ** 2 * r.N ** 2 > ALLOCATION_CAP)
+        MatrixTuple([np.kron(np.eye(m), y) for y in centre.components], 2).dump(
+            workdir / "far.json")
+        code = main(["translate", str(workdir / "p.json"), str(workdir / "far.json"),
+                     "--out", str(workdir / "never.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the map translated to level %d " % m)
+        assert captured.err.count("\n") == 1
+        assert not (workdir / "never.json").exists()
 
 
 class TestFockCommand:
@@ -474,6 +506,24 @@ def test_malformed_structure_exits_two_naming_the_field(workdir, capsys, target,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and named in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "translate"])
+@pytest.mark.parametrize("field", ["m", "n"])
+def test_level_zero_point_exits_two_naming_the_field(workdir, capsys, command, field):
+    run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+        "--out", workdir / "p.json")
+    point = {"n": 2, "m": 1, "d": 2, "components": [[], []]}
+    point[field] = 0
+    (workdir / "zero.json").write_text(json.dumps(point))
+    argv = [command, workdir / "p.json", workdir / "zero.json"]
+    if command == "translate":
+        argv += ["--out", workdir / "never.json"]
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: tuple.%s must be at least 1, got 0\n" % field
+    assert not (workdir / "never.json").exists()
 
 
 def test_error_is_one_line_on_stderr_of_the_process(tmp_path):

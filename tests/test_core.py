@@ -204,6 +204,13 @@ def test_centre_point_rejects_higher_level():
         CentrePoint([np.eye(4)], base_n=2)
 
 
+def test_side_zero_rejected():
+    with pytest.raises(ValueError, match="component side 0 is not a positive multiple"):
+        MatrixTuple([np.zeros((0, 0))], 1)
+    with pytest.raises(ValueError, match="tuple.m must be at least 1, got 0"):
+        MatrixTuple.from_json({"n": 2, "m": 0, "d": 1, "components": [[]]})
+
+
 def test_nonfinite_entries_rejected():
     with pytest.raises(ValueError, match="finite"):
         MatrixTuple([np.array([[np.nan]])], 1)

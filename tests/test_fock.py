@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cmat, point_near_centre, random_centre, unit_column_tuple
+from conftest import cmat, point_near_centre, random_centre, unit_column_tuple, unit_keys
 
 from ncreal.core import CentrePoint, MatrixTuple, all_words, ampliate, column_norm
 from ncreal.linmap import cb_row_norm_bound
@@ -427,7 +427,8 @@ class TestFockRealization:
         r1 = fock_realization(h, y, scale=1.0)
         r2 = fock_realization(h, y, scale=2.0)
         # A gets rescaled by 1/r ...
-        for (j, p, q), u in r1.A.iter_units():
+        for j, p, q in unit_keys(r1.A):
+            u = r1.A.unit(j, p, q)
             assert np.linalg.norm((r2.A.unit(j, p, q) * 2.0 - u).toarray()) < 1e-14
         # ... while the transfer function is unchanged
         x = point_near_centre(rng, y, 1, 1.3)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import cmat, random_centre, random_linmap, random_tuple, unit_column_tuple
+from conftest import (cmat, random_centre, random_linmap, random_tuple, unit_column_tuple,
+                      unit_keys)
 
 from ncreal.core import MatrixTuple, ampliate, column_norm, eye_kron, matrix_units
 from ncreal.linmap import (
@@ -90,8 +91,8 @@ class TestAmpliatedApply:
             for l in range(m):
                 block = out[k * a.out_rows:(k + 1) * a.out_rows,
                             l * a.out_cols:(l + 1) * a.out_cols]
-                for (j, p, q), u in a.iter_units():
-                    block += x.components[j - 1][k * n + p, l * n + q] * u
+                for j, p, q in unit_keys(a):
+                    block += x.components[j - 1][k * n + p, l * n + q] * a.unit(j, p, q)
         return out
 
     @settings(max_examples=80, deadline=None)
@@ -349,9 +350,8 @@ class TestStack:
         assert not dense.is_sparse and scipy.sparse.isspmatrix_csr(sparse.stack)
         assert dense.stack.shape == sparse.stack.shape == (d * n * n * size, size)
         assert np.array_equal(dense.dense(), coeffs) and np.array_equal(sparse.dense(), coeffs)
-        for ((key, u), (same, v)) in zip(dense.iter_units(), sparse.iter_units()):
-            j, p, q = key
-            assert key == same
+        for j, p, q in unit_keys(dense):
+            u, v = dense.dense()[j - 1, p, q], sparse.unit(j, p, q)
             assert np.array_equal(u, coeffs[j - 1, p, q])
             assert np.array_equal(v.toarray(), u)
             assert np.array_equal(sparse.unit(j, p, q).toarray(), dense.unit(j, p, q))
@@ -382,8 +382,8 @@ class TestStack:
         assert a.is_sparse and a.nilpotency_index is not None
         for m in (1, 2, 3):
             x = random_tuple(rng, n, m, d)
-            expected = sum(np.kron(x.components[j - 1][p::n, q::n], u.toarray())
-                           for (j, p, q), u in a.iter_units())
+            expected = sum(np.kron(x.components[j - 1][p::n, q::n], a.unit(j, p, q).toarray())
+                           for j, p, q in unit_keys(a))
             got = ampliated_apply(a, x)
             assert scipy.sparse.isspmatrix_csr(got) and got.dtype == np.complex128
             assert got.nnz == np.count_nonzero(expected)
@@ -396,6 +396,112 @@ class TestStack:
             MatrixLinearMap(scipy.sparse.csr_matrix((12, 3)), 2, 2)
         with pytest.raises(ValueError, match="5 axes"):
             MatrixLinearMap(np.zeros((4, 3)))
+
+
+def literal_cb_bound(a):
+    """The cb row-norm bound summed one unit at a time, each square root by its own eigh."""
+    def psd_sqrt(h):
+        w, v = np.linalg.eigh(h)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ np.conj(v).T
+
+    left = np.zeros((a.out_rows, a.out_rows), dtype=np.complex128)
+    right = np.zeros((a.out_cols, a.out_cols), dtype=np.complex128)
+    units = a.dense()
+    for j, p, q in unit_keys(a):
+        u = units[j - 1, p, q]
+        left += psd_sqrt(u @ np.conj(u).T)
+        right += psd_sqrt(np.conj(u).T @ u)
+    norms = [np.linalg.norm(g, 2) if g.size else 0.0 for g in (left, right)]
+    return float(np.sqrt(norms[0] * norms[1]))
+
+
+class TestUnitwiseKernel:
+    """images, adjoint, compressed and the cb bound against literal per-unit oracles, at
+    dense and CSR storage, square and input (N x n) maps, no state and empty bases."""
+
+    SHAPES = [(1, 1, 3, 3), (2, 2, 4, 4), (2, 2, 5, 2), (3, 1, 4, 1), (2, 2, 0, 0),
+              (2, 2, 0, 2)]
+
+    @staticmethod
+    def maps(rng, d, n, rows, cols):
+        coeffs = overlapping_coeffs(rng, d, n, max(rows, cols), nilpotent=False)
+        coeffs = coeffs[..., :rows, :cols]
+        return coeffs, (MatrixLinearMap(coeffs), as_sparse_map(coeffs))
+
+    @pytest.mark.parametrize("d,n,rows,cols", SHAPES)
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_images_are_the_unit_products_in_unit_order(self, d, n, rows, cols, k):
+        rng = np.random.default_rng(d * 1000 + n * 100 + rows * 10 + cols + k)
+        coeffs, maps = self.maps(rng, d, n, rows, cols)
+        v = cmat(rng, cols, k)
+        expected = np.hstack([coeffs[j - 1, p, q] @ v for j, p, q in unit_keys(maps[0])])
+        for a in maps:
+            got = a.images(v)
+            assert isinstance(got, np.ndarray) and got.shape == (rows, d * n * n * k)
+            assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("d,n,rows,cols", SHAPES)
+    def test_adjoint_holds_the_adjoint_units(self, d, n, rows, cols):
+        import scipy.sparse
+
+        rng = np.random.default_rng(d * 100 + n * 10 + rows + cols)
+        coeffs, (dense, sparse) = self.maps(rng, d, n, rows, cols)
+        expected = np.conj(coeffs).transpose(0, 1, 2, 4, 3)
+        for a in (dense, sparse):
+            star = a.adjoint()
+            assert (star.d, star.n, star.out_rows, star.out_cols) == (d, n, cols, rows)
+            assert star.is_sparse == a.is_sparse
+            assert np.array_equal(star.dense(), expected)
+            assert np.array_equal(star.adjoint().dense(), coeffs)
+        assert scipy.sparse.isspmatrix_csr(sparse.adjoint().stack)
+        assert sparse.adjoint().stack.nnz == sparse.stack.nnz
+
+    def test_sparse_adjoint_is_never_densified(self, monkeypatch):
+        from ncreal import core
+
+        a = fock_map(2, 2, 2)
+        monkeypatch.setattr(core, "ALLOCATION_CAP", 0)
+        with pytest.raises(ValueError, match="cap"):
+            a.dense()
+        star = a.adjoint()
+        assert star.is_sparse and star.stack.nnz == a.stack.nnz
+        v = cmat(np.random.default_rng(3), a.out_rows, 2)
+        expected = np.hstack([a.unit(j, p, q).conj().T @ v for j, p, q in unit_keys(a)])
+        assert_allclose(star.images(v), expected, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("d,n,rows,cols", SHAPES)
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_compressed_is_the_unit_compression(self, d, n, rows, cols, k):
+        rng = np.random.default_rng(d * 1000 + n * 100 + rows * 10 + cols + k + 7)
+        coeffs, maps = self.maps(rng, d, n, rows, cols)
+        left, right = cmat(rng, k, rows), cmat(rng, cols, k + 1)
+        expected = np.array([left @ (coeffs[j - 1, p, q] @ right)
+                             for j, p, q in unit_keys(maps[0])])
+        for a in maps:
+            got = a.compressed(left, right)
+            assert not got.is_sparse and (got.d, got.n) == (d, n)
+            assert got.dense().shape == (d, n, n, k, k + 1)
+            assert_allclose(got.dense().reshape(expected.shape), expected,
+                            rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("d,n,rows,cols", SHAPES)
+    def test_cb_bound_is_the_unit_sum(self, d, n, rows, cols):
+        rng = np.random.default_rng(d * 100 + n * 10 + rows + cols + 11)
+        _, maps = self.maps(rng, d, n, rows, cols)
+        expected = literal_cb_bound(maps[0])
+        for a in maps:
+            assert cb_row_norm_bound(a) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    def test_cb_bound_of_a_sparse_map_keeps_the_cap(self, monkeypatch):
+        from ncreal import core
+
+        a = fock_map(1, 2, 2)
+        expected = literal_cb_bound(a)
+        monkeypatch.setattr(core, "ALLOCATION_CAP", a.stack.shape[0] * a.out_cols - 1)
+        with pytest.raises(ValueError, match="more than the cap"):
+            cb_row_norm_bound(a)
+        monkeypatch.undo()
+        assert cb_row_norm_bound(a) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSerialization:
