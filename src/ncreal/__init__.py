@@ -63,6 +63,7 @@ from .analysis import (
     observable_basis,
     recover_similarity,
     translate,
+    tree_point,
 )
 from .parser import (
     ParseError,

@@ -38,6 +38,7 @@ from .core import (
     invert_checked,
     require_invertible,
     require_nonnegative,
+    require_positive,
     require_within_cap,
 )
 from .linmap import MatrixLinearMap, ampliated_apply
@@ -57,6 +58,7 @@ __all__ = [
     "translate",
     "llac_residual",
     "is_nc_function",
+    "tree_point",
     "nilpotent_point",
     "nilpotent_moment",
     "moment_via_nilpotent",
@@ -237,31 +239,56 @@ def is_nc_function(r, tol=1e-9):
 # jointly nilpotent evaluation points
 # ---------------------------------------------------------------------------
 
+def tree_point(y, parents, word, args, r=1.0):
+    """The jointly nilpotent point about the centre on a rooted tree of l + 1 nodes.
+
+    Node 0 is the root, and node i = 1..l hangs below node parents[i-1] < i on
+    an edge with letter word[i-1] and argument args[i-1].  Component k carries
+    the centre on the block diagonal and r * args[i-1] in block
+    (parents[i-1], i) for every edge with letter k, so X - I_{l+1} (x) Y is
+    jointly nilpotent of order one more than the tree's height.  Block (0, v)
+    of an NC function's value at X is r^|w| f_w(G_1, ..., G_|w|), where w and
+    G are the letters and arguments on the path from the root to v: every
+    moment series terminates, and the only term that reaches v is that path.
+
+    A path is :func:`nilpotent_point`.  A path of L - 1 edges whose end node
+    has one child per letter-unit pair (k, E_pq) is a sibling probe of
+    :func:`ncreal.fock.coeffs_from_nc_function`, which takes (d n^2)^(L-1)
+    of them for the coefficients through degree L.
+    """
+    require_positive("r", r)
+    ell = len(word)
+    if len(parents) != ell or len(args) != ell:
+        raise ValueError("word of length %d got %d arguments and %d parents"
+                         % (ell, len(args), len(parents)))
+    n, d = y.base_n, y.d
+    for pos, (parent, letter, g) in enumerate(zip(parents, word, args)):
+        if not 0 <= parent <= pos:
+            raise ValueError("node %d needs a parent among nodes 0..%d, got %r"
+                             % (pos + 1, pos, parent))
+        if not 1 <= letter <= d:
+            raise ValueError("letter %r of node %d is not in 1..%d" % (letter, pos + 1, d))
+        if np.shape(g) != (n, n):
+            raise ValueError("argument %d must be %d x %d" % (pos + 1, n, n))
+    comps = np.zeros((d, ell + 1, n, ell + 1, n), dtype=np.complex128)
+    diag = np.arange(ell + 1)
+    comps[:, diag, :, diag, :] = np.stack(y.components)
+    if ell:
+        comps[np.asarray(word) - 1, np.asarray(parents), :, diag[1:], :] = \
+            r * np.asarray(args, dtype=np.complex128)
+    return MatrixTuple(list(comps.reshape(d, (ell + 1) * n, (ell + 1) * n)), n)
+
+
 def nilpotent_point(y, word, args, r=1.0):
-    """The level-(l+1) jointly nilpotent point X(w) about the centre.
+    """The level-(l+1) jointly nilpotent point X(w) about the centre: the
+    :func:`tree_point` on the path 0 - 1 - ... - l.
 
     Component k carries the centre on the block diagonal and r * args[j-1]
     in superdiagonal block (j-1, j) for every position j of the word whose
     letter is k.  Every moment series at X(w) terminates, and the single
     surviving top-degree term isolates the word w.
     """
-    if r <= 0:
-        raise ValueError("scaling must be positive, got %r" % (r,))
-    ell = len(word)
-    if len(args) != ell:
-        raise ValueError("word of length %d got %d arguments" % (ell, len(args)))
-    n = y.base_n
-    comps = []
-    for k in range(1, y.d + 1):
-        mk = eye_kron(ell + 1, y.component(k))
-        for pos, letter in enumerate(word):
-            if letter == k:
-                g = np.asarray(args[pos], dtype=np.complex128)
-                if g.shape != (n, n):
-                    raise ValueError("argument %d must be %d x %d" % (pos + 1, n, n))
-                mk[pos * n:(pos + 1) * n, (pos + 1) * n:(pos + 2) * n] = r * g
-        comps.append(mk)
-    return MatrixTuple(comps, n)
+    return tree_point(y, range(len(word)), word, args, r)
 
 
 def nilpotent_moment(f, n, ell, r):

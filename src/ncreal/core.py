@@ -41,7 +41,9 @@ __all__ = [
     "passes_invertibility",
     "require_invertible",
     "require_nonnegative",
+    "require_positive",
     "require_within_cap",
+    "graph_depth",
     "invert_checked",
     "solve_refined",
     "encode_complex",
@@ -109,6 +111,12 @@ def require_nonnegative(name, value):
         raise ValueError("%s must be finite and non-negative, got %r" % (name, value))
 
 
+def require_positive(name, value):
+    """Raise ValueError unless ``value`` is finite and greater than 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("%s must be finite and positive, got %r" % (name, value))
+
+
 def require_within_cap(entries, what):
     """Raise ValueError when ``entries``, a lower bound on the size of ``what``, exceeds
     ALLOCATION_CAP."""
@@ -149,6 +157,26 @@ def solve_refined(m, rhs):
     resid = rhs - m @ z
     z += solve(resid)
     return z
+
+
+def graph_depth(pattern):
+    """The number of vertices on a longest path of the directed graph with an edge
+    i -> j at every nonzero pattern[i, j], or None when the graph has a cycle.
+
+    ``pattern`` is a square dense or sparse array with nonnegative entries.  The
+    depth is the number of rounds in which the graph peels off its sinks; no
+    tolerance enters.  At depth K, every product of K matrices whose nonzero
+    entries lie on the graph's edges is zero.
+    """
+    alive = np.ones(pattern.shape[0], dtype=bool)
+    depth = 0
+    while alive.any():
+        sinks = alive & (pattern @ alive.astype(np.float64) == 0)
+        if not sinks.any():
+            return None   # each vertex left has an out-edge among them: a cycle
+        alive &= ~sinks
+        depth += 1
+    return depth
 
 
 def matrix_units(n):

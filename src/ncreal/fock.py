@@ -25,9 +25,9 @@ import numpy as np
 import scipy.sparse
 
 from . import core
-from .core import (ampliate, column_norm, decode_complex, deviation_from_centre,
-                   encode_complex, eye_kron, json_field, matrix_units, read_json,
-                   require_within_cap, write_json)
+from .core import (column_norm, decode_complex, deviation_from_centre, encode_complex,
+                   eye_kron, json_field, matrix_units, read_json, require_nonnegative,
+                   require_positive, require_within_cap, write_json)
 from .linmap import MatrixLinearMap
 from .realization import DescriptorRealization
 
@@ -271,6 +271,15 @@ def fock_inner(k, h):
     return acc
 
 
+def _capped_degree(n, d, L):
+    """L, or a smaller degree at which fock_dim(n, d, .) already exceeds ALLOCATION_CAP.
+
+    With d n^2 >= 2, fock_dim passes 2^degree: a huge L is checked at the
+    degree where the cap is surely passed, so (d n^2)^(L+1) is never formed.
+    """
+    return L if d * n * n < 2 else min(L, core.ALLOCATION_CAP.bit_length())
+
+
 def fock_realization(h, y, scale=1.0):
     """The canonical descriptor realization of h about Y on C^n (x) F_n(C^d).
 
@@ -281,15 +290,14 @@ def fock_realization(h, y, scale=1.0):
     equals :func:`eval_fock` exactly, at points of every norm.
 
     A is one CSR stack of units read off the right-creation targets.  When
-    d n^3 fock_dim, a bound on A's nonzeros, exceeds ALLOCATION_CAP: ValueError.
+    d n^3 fock_dim, a bound on A's nonzeros, exceeds ALLOCATION_CAP, or scale
+    is not finite and positive: ValueError.
     """
     n, d, L = h.n, h.d, h.L
     if y.base_n != n or y.d != d:
         raise ValueError("centre does not match the Fock data")
-    # with d n^2 >= 2, fock_dim passes 2^degree: a huge L is checked at the
-    # degree where the cap is surely passed, so (d n^2)^(L+1) is never formed
-    top = L if d * n * n < 2 else min(L, core.ALLOCATION_CAP.bit_length())
-    require_within_cap(d * n ** 3 * fock_dim(n, d, top),
+    require_positive("scale", scale)
+    require_within_cap(d * n ** 3 * fock_dim(n, d, _capped_degree(n, d, L)),
                        "the Fock realization at (n, d, L) = (%d, %d, %d)" % (n, d, L))
     dim = fock_dim(n, d, L)
     # targets[k, q, j]: where R_{q+1, j+1; k+1} sends each basis vector below degree L
@@ -346,48 +354,68 @@ def unreshuffle(table, n, d, L):
 def coeffs_from_nc_function(func, y, L, r=1.0):
     """Extract truncated Fock coefficients of a black-box NC function about Y.
 
-    ``func`` maps a :class:`~ncreal.core.MatrixTuple` to a square array.  For
-    each word w the multilinear Taylor-Taylor coefficient on matrix-unit
-    arguments is read off the top-right block of func at a jointly nilpotent
-    point, then converted to h_{alpha,beta;omega} coordinates through the
-    matrix-unit expansion of the word coefficient maps.
+    ``func`` maps a :class:`~ncreal.core.MatrixTuple` to a square array.  A
+    word v of l letter-unit pairs (w_1, E_{b_0 a_1}), ..., (w_l, E_{b_{l-1} a_l})
+    has the Taylor-Taylor coefficient block f_v = f_w(E_{b_0 a_1}, ...), and
+    h_{alpha,beta;omega} is its (a_0, b_l) entry, with omega = w.
+
+    Sibling probes: for each word u of L - 1 pairs, one call evaluates func
+    at the :func:`~ncreal.analysis.tree_point` whose nodes 0, 1, ..., L - 1
+    spell u along a path, and whose node L - 1 has d n^2 children, one per
+    pair (letter k, unit E_pq), k-major then row-major.  Block (0, v) of the
+    value over r^|v| is f_v for every node v: the children give the d n^2
+    one-pair extensions of u, and node l < L gives the length-l prefix of u,
+    read from the probe in which u continues with the first pair only.  That
+    is (d n^2)^(L-1) calls for L >= 1 and one call, at the centre, for L = 0.
+
+    ValueError when r is not finite and positive, when the fock_dim(n, d, L)
+    coefficients exceed ALLOCATION_CAP (checked before any call), and when a
+    call fails or returns a value of the wrong shape or with non-finite
+    entries, naming the probe's word.
     """
-    from .analysis import nilpotent_moment, nilpotent_point
+    from .analysis import tree_point
 
+    require_positive("r", r)
+    require_nonnegative("L", L)
     n, d = y.base_n, y.d
-    units, letters = matrix_units(n), range(1, n + 1)
-    coeffs = {}
+    require_within_cap(fock_dim(n, d, _capped_degree(n, d, L)),
+                       "the Fock coefficients at (n, d, L) = (%d, %d, %d)" % (n, d, L))
+    # pair s = (k n + p) n + q is letter k + 1 with argument E_{p+1, q+1}
+    letters, p, q = (axis.ravel() for axis in np.indices((d, n, n)))
+    units = matrix_units(n)[p, q]
+    children = np.arange(d * n * n if L else 0)
+    parents = [*range(L - 1), *[L - 1] * len(children)]
+    side = (len(parents) + 1) * n
 
-    f0 = np.asarray(func(ampliate(y, 1)), dtype=np.complex128)
-    if f0.shape != (n, n):
-        raise ValueError("black-box function returned shape %s at the centre"
-                         % (f0.shape,))
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            val = f0[a - 1, b - 1]
-            if val != 0:
-                coeffs[((a,), (b,), ())] = val
+    def refused(u, fault):
+        word = " ".join("x%d:E_%d,%d" % (letters[s] + 1, p[s] + 1, q[s] + 1) for s in u)
+        return ValueError("black-box function at the probe for word (%s): %s" % (word, fault))
 
-    for ell in range(1, L + 1):
-        for omega in itertools.product(range(1, d + 1), repeat=ell):
-            # f_omega on units: h_{alpha,beta;omega} is the (a0, b_l) entry of
-            # f_omega(E_{b0,a1}, E_{b1,a2}, ..., E_{b_{l-1},a_l}).
-            for inner_beta in itertools.product(letters, repeat=ell):       # b_0..b_{l-1}
-                for inner_alpha in itertools.product(letters, repeat=ell):  # a_1..a_l
-                    args = [units[b - 1, a - 1] for b, a in zip(inner_beta, inner_alpha)]
-                    point = nilpotent_point(y, omega, args, r)
-                    try:
-                        fval = np.asarray(func(point), dtype=np.complex128)
-                    except Exception as exc:
-                        raise ValueError(
-                            "black-box function failed at the nilpotent point for "
-                            "word %r: %s" % (omega, exc)) from exc
-                    block = nilpotent_moment(fval, n, ell, r)
-                    for a0 in range(1, n + 1):
-                        for bl in range(1, n + 1):
-                            val = block[a0 - 1, bl - 1]
-                            if val != 0:
-                                alpha = (a0,) + inner_alpha
-                                beta = inner_beta + (bl,)
-                                coeffs[(alpha, beta, omega)] = val
-    return TruncatedFockVector(n, d, L, coeffs)
+    top = []   # the top block row of every probe's value
+    for u in itertools.product(range(len(children)), repeat=max(L - 1, 0)):
+        sel = np.concatenate([u, children]).astype(int)
+        point = tree_point(y, parents, letters[sel] + 1, units[sel], r)
+        try:
+            value = np.asarray(func(point), dtype=np.complex128)
+        except Exception as exc:   # a black box may raise anything
+            raise refused(u, "failed: %s" % exc) from exc
+        if value.shape != (side, side):
+            raise refused(u, "returned shape %s, expected %s" % (value.shape, (side, side)))
+        if not np.isfinite(value).all():
+            raise refused(u, "returned non-finite entries")
+        top.append(value[:n].reshape(n, -1, n))
+    top = np.array(top)                                 # axes: probe, a_0, node, b_l
+    blocks = [top[::len(children) ** (L - 1 - ell), :, ell] for ell in range(L)]
+    blocks.append(top[:, :, L:].transpose(0, 2, 1, 3))  # the children, or the root at L = 0
+    vec = []
+    for ell, block in enumerate(blocks):
+        # axes (k, b_{i-1}, a_i) for each pair i, then a_0, b_l; the Fock layout is
+        # omega, alpha, beta
+        block = block.reshape((d, n, n) * ell + (n, n)) / r ** ell
+        vec.append(block.transpose([*range(0, 3 * ell, 3), 3 * ell, *range(2, 3 * ell, 3),
+                                    *range(1, 3 * ell, 3), 3 * ell + 1]).ravel())
+    # the keys come from fock_basis, valid by construction: no per-key check
+    h = TruncatedFockVector(n, d, L)
+    h.coeffs = {idx: complex(val) for idx, val in zip(fock_basis(n, d, L), np.concatenate(vec))
+                if val != 0}
+    return h

@@ -32,13 +32,14 @@ from itertools import chain
 import numpy as np
 import scipy.sparse
 
-from .core import (MatrixTuple, decode_complex, encode_complex, json_field,
+from .core import (MatrixTuple, decode_complex, encode_complex, graph_depth, json_field,
                    require_within_cap)
 
 __all__ = [
     "MatrixLinearMap",
     "apply",
     "ampliated_apply",
+    "unit_combinations",
     "word_apply",
     "adjoint_word_apply",
     "cb_row_norm_bound",
@@ -100,20 +101,14 @@ class MatrixLinearMap:
         (k, l) block of sum_j (id_m (x) A_j)(H_j) is a combination of units, so
         that matrix has K-th power zero at every level m and every H.  K is the
         number of rounds in which P's graph peels off its sinks; no tolerance
-        enters.  Computed on first use and kept; square-valued maps only.
+        enters (:func:`~ncreal.core.graph_depth`).  Computed on first use and kept;
+        square-valued maps only.
         """
         rows, cols = self.stack.nonzero()
         pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows % self.out_rows, cols)),
                                           shape=(self.out_rows, self.out_cols))
-        alive = np.ones(self.out_rows, dtype=bool)
-        index = 0
-        while alive.any():
-            sinks = alive & (pattern @ alive.astype(np.float64) == 0)
-            if not sinks.any():
-                return None   # each vertex left has an out-edge among them: a cycle
-            alive &= ~sinks
-            index += 1
-        return max(index, 1)
+        index = graph_depth(pattern)
+        return None if index is None else max(index, 1)
 
     @classmethod
     def zeros(cls, d, n, rows, cols=None):
@@ -245,8 +240,7 @@ def _ampliate(a, coeffs, m):
     """sum_u X_u (x) A(u) for the (m m) x (d n n) matrix ``coeffs`` of entries X_u[k, l]."""
     rows, cols, stack = a.out_rows, a.out_cols, a.stack
     if not a.is_sparse:
-        prod = coeffs @ stack.reshape(coeffs.shape[1], rows * cols)
-        prod = prod.reshape(m, m, rows, cols).transpose(0, 2, 1, 3)
+        prod = unit_combinations(a, coeffs).reshape(m, m, rows, cols).transpose(0, 2, 1, 3)
         return prod.reshape(m * rows, m * cols)
     # X_u[k, l] A(u)[r, s] lands at (k N + r, l M + s); the stored entries of
     # unit u are the CSR range [indptr[u N], indptr[(u + 1) N])
@@ -260,6 +254,13 @@ def _ampliate(a, coeffs, m):
     s = stack.indices[entry] + (l * cols)[pair]
     data = coeffs[kl, u][pair] * stack.data[entry]
     return scipy.sparse.csr_matrix((data, (r, s)), shape=(m * rows, m * cols))
+
+
+def unit_combinations(a, coeffs):
+    """sum_u coeffs[e, u] A(u) for each row e of the E x (d n n) matrix ``coeffs``, as an
+    (E, N, M) array: one product with the stack of a dense map."""
+    prod = coeffs @ a.stack.reshape(a.units, a.out_rows * a.out_cols)
+    return prod.reshape(len(coeffs), a.out_rows, a.out_cols)
 
 
 def word_apply(a, word, args):

@@ -19,18 +19,30 @@ T = sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j) once (sparse for a sparse map)
 and decides the invertibility test sigma_min > INVERTIBILITY_RTOL *
 max(1, sigma_max) on the pencil I - T in this order:
 
-1. An upper bound q >= ||T||_2, padded for roundoff: the smaller of
+1. For a dense map, the block-nilpotent case.  Block (k, l) of T only
+   combines the entries of the (k, l) blocks of H = X - I_m (x) Y, so when
+   H's graph of nonzero n x n blocks is acyclic, T^{K_H} = 0 exactly, with
+   K_H its depth (a longest path plus one, :func:`~ncreal.core.graph_depth`).
+   A nonzero first diagonal block ends the scan in O(d n^2), so a generic
+   point pays next to nothing for it.  T is then built from H's nonzero
+   blocks only, with K = min(A.nilpotency_index, K_H).  When the bounds of
+   step 3, with the one-inf bound of step 2, pass the test of step 4, the
+   value is the exact sum (I - T)^{-1} R = sum_{k<K} T^k R, taken with
+   K - 1 block products and no factorization.  Otherwise (a cycle among H's
+   blocks, a sparse map, a certificate that does not fire) T is built whole
+   and steps 2 to 5 decide.
+2. An upper bound q >= ||T||_2, padded for roundoff: the smaller of
    sqrt(||T||_1 ||T||_inf), which costs O(nnz), and, for a dense map only,
    cb_row_norm_bound(A) * column_norm(X - I_m (x) Y), the paper's domain
    radius (the cb bound is computed once per map).
-2. Bounds on the singular values of I - T: sigma_max <= 1 + q always.  If
+3. Bounds on the singular values of I - T: sigma_max <= 1 + q always.  If
    the map has a nilpotency index K (A.nilpotency_index, read once per map
    off the union of its units' sparsity patterns, dense or sparse), then
    T^K = 0 at every point and sigma_min >= 1 / sum_{k<K} q^k.  Otherwise,
    if q < 1, sigma_min >= 1 - q.
-3. The certificate fires when lower > INVERTIBILITY_RTOL * max(1, upper).
+4. The certificate fires when lower > INVERTIBILITY_RTOL * max(1, upper).
    The exact test then passes, so the verdict is the same.
-4. Otherwise one dense SVD gives the exact sigma_min and sigma_max, and
+5. Otherwise one dense SVD gives the exact sigma_min and sigma_max, and
    the test is applied to them.
 
 :func:`pencil`, :func:`pencil_sigma` and :func:`pole_order` stay exact; they
@@ -50,6 +62,7 @@ from .core import (
     deviation_from_centre,
     encode_complex,
     eye_kron,
+    graph_depth,
     json_field,
     passes_invertibility,
     read_json,
@@ -57,7 +70,7 @@ from .core import (
     solve_refined,
     write_json,
 )
-from .linmap import MatrixLinearMap, ampliated_apply, word_apply
+from .linmap import MatrixLinearMap, ampliated_apply, unit_combinations, word_apply
 
 __all__ = [
     "DescriptorRealization",
@@ -260,7 +273,8 @@ def _ampliated_at(a, r, x):
 
 
 def _dense(t):
-    return t.toarray() if scipy.sparse.issparse(t) else t
+    """t as a dense array: t itself, or a sparse or block T assembled."""
+    return t if isinstance(t, np.ndarray) else t.toarray()
 
 
 def _identity_minus(t):
@@ -345,15 +359,74 @@ def _certify(a, h, t):
     return bounds if passes_invertibility(*bounds) else None
 
 
+class _BlockT(namedtuple("_BlockT", ["level", "rows", "cols", "blocks", "index"])):
+    """T at a block-nilpotent point: block (rows[e], cols[e]) is blocks[e], T^index = 0."""
+
+    def toarray(self):
+        m, size = self.level, self.blocks.shape[1]
+        out = np.zeros((m, size, m, size), dtype=np.complex128)
+        out[self.rows, :, self.cols, :] = self.blocks
+        return out.reshape(m * size, m * size)
+
+    def times(self, s):
+        """T s for the m block rows s[k] of a block column: one batched product."""
+        prod = (self.blocks @ s[self.cols]).reshape(len(self.rows), -1)
+        return (_summing(self.rows, self.level) @ prod).reshape(s.shape)
+
+    def one_inf_bound(self):
+        """sqrt(||T||_1 ||T||_inf) >= ||T||_2, from the stored blocks."""
+        a = abs(self.blocks)
+        if a.size == 0:
+            return 0.0
+        cols = _summing(self.cols, self.level) @ a.sum(axis=1)
+        rows = _summing(self.rows, self.level) @ a.sum(axis=2)
+        return math.sqrt(float(cols.max()) * float(rows.max()))
+
+
+def _summing(index, m):
+    """The m x E 0/1 matrix that adds E blocks into the block rows (or columns) ``index``."""
+    out = np.zeros((m, len(index)))
+    out[index, np.arange(len(index))] = 1.0
+    return out
+
+
+def _block_nilpotent(a, h):
+    """T in blocks when the graph of H's nonzero n x n blocks is acyclic, else None.
+
+    A nonzero first diagonal block ends the scan at once.  Otherwise T
+    is built from H's nonzero blocks only, and its index is the smaller of
+    the graph's depth and A.nilpotency_index.
+    """
+    n, m, d = h.base_n, h.level_m, h.d
+    if any(c[:n, :n].any() for c in h.components):
+        return None   # the common case, in O(d n^2)
+    blocks = np.stack(h.components).reshape(d, m, n, m, n)
+    graph = blocks.any(axis=(0, 2, 4))
+    depth = graph_depth(graph)   # None on a cycle, a nonzero diagonal block included
+    if depth is None:
+        return None
+    rows, cols = np.nonzero(graph)
+    coeffs = blocks[:, rows, :, cols, :].reshape(len(rows), d * n * n)
+    index = depth if a.nilpotency_index is None else min(depth, a.nilpotency_index)
+    return _BlockT(m, rows, cols, unit_combinations(a, coeffs), index)
+
+
 def _decide(r, x):
     """Build T at X once and decide the invertibility test on I - T.
 
     Returns (H, T, None, verdict) when the certificate fires, and otherwise
     (H, None, the dense pencil, verdict) after its SVD; the verdict is an
-    :class:`Evaluation` without a value.  T is dropped as soon as the
-    pencil exists, so it never lives beside the copy an SVD or LU makes.
+    :class:`Evaluation` without a value.  T is a :class:`_BlockT` when the
+    block-nilpotent certificate fires.  T is dropped as soon as the pencil
+    exists, so it never lives beside the copy an SVD or LU makes.
     """
     h = deviation_from_centre(x, r.Y)
+    if not r.A.is_sparse:
+        t = _block_nilpotent(r.A, h)
+        if t is not None:
+            bounds = _singular_value_bounds(t.one_inf_bound() * (1.0 + _BOUND_PAD), t.index)
+            if passes_invertibility(*bounds):
+                return h, t, None, Evaluation(None, True, bounds[0], bounds[1], "certificate")
     t = ampliated_apply(r.A, h)
     bounds = _certify(r.A, h, t)
     if bounds is not None:
@@ -370,6 +443,19 @@ def _decided_pencil(r, x):
     return (_identity_minus(_dense(t)) if p is None else p), verdict
 
 
+def _finite_sum_value(r, h, t):
+    """The value at a block-nilpotent point from (I - T)^{-1} R = sum_{k<K} T^k R,
+    taken with K - 1 block products; I_m (x) C or I_m (x) b* acts block by block."""
+    m, n, fm = t.level, r.n, isinstance(r, FMRealization)
+    rhs = _dense(ampliated_apply(r.B, h)) if fm else eye_kron(m, r.c)
+    rhs = rhs.reshape(m, r.N, m * n)
+    s = rhs
+    for _ in range(t.index - 1):
+        s = rhs + t.times(s)
+    value = ((r.C if fm else np.conj(r.b).T) @ s).reshape(m * n, m * n)
+    return value + eye_kron(m, r.D) if fm else value
+
+
 def evaluate(r, x):
     """The value of a descriptor or FM realization at X, as an :class:`Evaluation`.
 
@@ -377,12 +463,16 @@ def evaluate(r, x):
     sparse map, and decides the invertibility test on I - T as the module
     docstring describes.  decided_by is "certificate" when sigma_min and
     sigma_max are the certified bounds, "svd" when they are the exact
-    singular values.  Inside the domain the pencil is solved by LU with one
-    refinement step (a sparse LU when it is sparse); outside, value is None.
+    singular values.  At a certified block-nilpotent point the value is the
+    exact finite sum of the module docstring's step 1.  Otherwise, inside the
+    domain, the pencil is solved by LU with one refinement step (a sparse LU
+    when it is sparse); outside, value is None.
     """
     h, t, p, verdict = _decide(r, x)
     if not verdict.in_domain:
         return verdict
+    if isinstance(t, _BlockT):
+        return verdict._replace(value=_finite_sum_value(r, h, t))
     if p is None:
         p = _identity_minus(t)
         del t
@@ -401,9 +491,10 @@ def in_domain(r, x):
 
     The test is sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max) on the
     pencil I - T.  First the certificate: with q >= ||T||_2, sigma_max <=
-    upper = 1 + q and sigma_min >= lower = 1 / sum_{k<K} q^k (when
-    A.nilpotency_index is K) or 1 - q (q < 1), and lower >
-    INVERTIBILITY_RTOL * max(1, upper) proves the test passes.  Otherwise
+    upper = 1 + q and sigma_min >= lower = 1 / sum_{k<K} q^k (when T^K = 0:
+    K is A.nilpotency_index, or at a block-nilpotent point of a dense map
+    the smaller of it and the depth of H's block graph) or 1 - q (q < 1),
+    and lower > INVERTIBILITY_RTOL * max(1, upper) proves the test passes.  Otherwise
     one dense SVD decides (see the module docstring).  Both give the same
     verdict.  A sparse pencil is held to the same threshold.
 

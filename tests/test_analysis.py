@@ -47,6 +47,7 @@ from ncreal.analysis import (
     max_moment_deviation,
     moment_via_nilpotent,
     nilpotent_point,
+    tree_point,
     observable_basis,
     recover_similarity,
     translate,
@@ -445,6 +446,33 @@ class TestNilpotentPoints:
         assert_allclose(x1[n:2 * n, 2 * n:3 * n], 0)
         assert_allclose(x2[0:n, n:2 * n], 0)
         assert_allclose(x2[n:2 * n, 2 * n:3 * n], g2)
+
+    def test_siblings_share_their_parent_row(self):
+        # nodes 1 and 2 both hang below the root: G1 in block (0, 1) of X_1,
+        # G2 in block (0, 2) of X_2, and nothing joins the two children
+        rng = np.random.default_rng(24)
+        y = random_centre(rng, 2, 2)
+        g1, g2 = cmat(rng, 2, 2), cmat(rng, 2, 2)
+        x = tree_point(y, [0, 0], [1, 2], [g1, g2], r=0.5)
+        assert x.level_m == 3
+        assert_allclose(x.block(1, 0, 1), 0.5 * g1)
+        assert_allclose(x.block(2, 0, 2), 0.5 * g2)
+        for j in (1, 2):
+            assert not x.block(j, 1, 2).any() and not x.block(j, 2, 1).any()
+            for k in range(3):
+                assert_allclose(x.block(j, k, k), y.component(j))
+
+    def test_tree_point_checks_its_edges(self):
+        y = random_centre(np.random.default_rng(25), 2, 2)
+        g = np.eye(2)
+        with pytest.raises(ValueError, match="node 1 needs a parent among nodes 0..0"):
+            tree_point(y, [1], [1], [g])
+        with pytest.raises(ValueError, match="letter 3 of node 1 is not in 1..2"):
+            tree_point(y, [0], [3], [g])
+        with pytest.raises(ValueError, match="argument 2 must be 2 x 2"):
+            tree_point(y, [0, 1], [1, 1], [g, np.eye(3)])
+        with pytest.raises(ValueError, match="r must be finite and positive"):
+            tree_point(y, [0], [1], [g], r=float("nan"))
 
     def test_empty_word_is_centre(self):
         rng = np.random.default_rng(19)

@@ -32,6 +32,54 @@ from ncreal.fock import (
 )
 
 
+def per_word_coeffs(func, y, L, r=1.0):
+    """The reference extraction: one black-box call per word and tuple of matrix-unit
+    arguments, each at the word's path-shaped nilpotent point."""
+    from ncreal.analysis import nilpotent_moment, nilpotent_point
+
+    n, d = y.base_n, y.d
+    units, letters = core.matrix_units(n), range(1, n + 1)
+    f0 = np.asarray(func(ampliate(y, 1)), dtype=np.complex128)
+    coeffs = {((a,), (b,), ()): f0[a - 1, b - 1] for a in letters for b in letters}
+    for ell in range(1, L + 1):
+        for omega in itertools.product(range(1, d + 1), repeat=ell):
+            # h_{alpha,beta;omega} is the (a0, b_l) entry of
+            # f_omega(E_{b0,a1}, E_{b1,a2}, ..., E_{b_{l-1},a_l})
+            for inner_beta in itertools.product(letters, repeat=ell):
+                for inner_alpha in itertools.product(letters, repeat=ell):
+                    args = [units[b - 1, a - 1] for b, a in zip(inner_beta, inner_alpha)]
+                    value = np.asarray(func(nilpotent_point(y, omega, args, r)))
+                    block = nilpotent_moment(value, n, ell, r)
+                    for a0 in letters:
+                        for bl in letters:
+                            coeffs[((a0,) + inner_alpha, inner_beta + (bl,), omega)] = \
+                                block[a0 - 1, bl - 1]
+    return TruncatedFockVector(n, d, L, coeffs)
+
+
+# (polynomial, rational) expressions for each number of letters
+BLACK_BOX_TEXTS = {
+    1: ("x1*x1*x1 - 2*x1 + 0.5", "inv(x1*x1 + 3) - x1"),
+    2: ("x1*x2*x1 - 2*x2*x1 + x2 + 0.5", "inv(x1*x2 + 3) - x2*x1"),
+    3: ("x1*x3*x2 - x3 + 0.5", "inv(x1*x3 + 3) + x2*x1"),
+}
+
+
+def black_box(kind, rng, n, d):
+    """A centre and an NC function about it: the transfer of an FM polynomial, of a
+    Kalman-minimized rational descriptor, or a constant."""
+    y = random_centre(rng, n, d)
+    if kind == "constant":
+        m = cmat(rng, n, n)
+        return y, lambda x: np.kron(np.eye(x.level_m), m)
+    poly, rational = BLACK_BOX_TEXTS[d]
+    if kind == "polynomial":
+        fm = realize_expression(parse(poly, d), y)
+        return y, lambda x: transfer(fm, x)
+    desc = kalman_minimize(fm_to_desc(realize_expression(parse(rational, d), y)))
+    return y, lambda x: transfer(desc, x)
+
+
 def random_fock_vector(rng, n, d, L, density=0.25):
     coeffs = {}
     for idx in fock_basis(n, d, L):
@@ -459,6 +507,74 @@ class TestReshuffle:
 
 
 class TestCoeffsFromNcFunction:
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    @pytest.mark.parametrize("n, d, L", [(1, 1, 3), (1, 2, 4), (1, 3, 3), (2, 1, 2),
+                                         (2, 2, 2), (3, 1, 1)])
+    @pytest.mark.parametrize("kind", ["polynomial", "rational", "constant"])
+    def test_sibling_probes_match_the_per_word_oracle(self, kind, n, d, L, r):
+        rng = np.random.default_rng([n, d, L])
+        y, func = black_box(kind, rng, n, d)
+        probes = []
+        h = coeffs_from_nc_function(lambda x: probes.append(x) or func(x), y, L, r)
+        assert len(probes) == (d * n * n) ** (L - 1)
+        for x in probes:
+            # every product of L + 1 deviation components vanishes
+            walk = sum(abs(c) for c in (x - ampliate(y, x.level_m)).components)
+            assert not np.linalg.matrix_power(walk, L + 1).any()
+        want = per_word_coeffs(func, y, L, r).to_dense()
+        assert np.abs(h.to_dense() - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_degree_zero_is_one_call_at_the_centre(self):
+        rng = np.random.default_rng(16)
+        y, func = black_box("rational", rng, 2, 2)
+        levels = []
+        h = coeffs_from_nc_function(lambda x: levels.append(x.level_m) or func(x), y, 0)
+        assert levels == [1]
+        assert np.array_equal(h.to_dense(), func(ampliate(y, 1)).ravel())
+
+    def test_bad_black_box_values_name_the_probe_word(self):
+        rng = np.random.default_rng(17)
+        y = random_centre(rng, 2, 2)
+        first = r"probe for word \(x1:E_1,1\)"
+        with pytest.raises(ValueError, match=first + r": returned shape \(2, 2\), "
+                                                    r"expected \(20, 20\)"):
+            coeffs_from_nc_function(lambda x: np.zeros((2, 2)), y, 2)
+        with pytest.raises(ValueError, match=first + ": returned non-finite entries"):
+            coeffs_from_nc_function(lambda x: np.full((x.side, x.side), np.nan), y, 2)
+        def boom(x):
+            raise ArithmeticError("boom")
+
+        with pytest.raises(ValueError, match=r"probe for word \(\): failed: boom"):
+            coeffs_from_nc_function(boom, y, 1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_dilation_must_be_finite_and_positive(self, bad):
+        def refuse(x):
+            raise AssertionError("black box called")
+
+        y = CentrePoint([np.zeros((1, 1))])
+        h = TruncatedFockVector(1, 1, 1, {((1,), (1,), ()): 1.0})
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            fock_realization(h, y, scale=bad)
+        with pytest.raises(ValueError, match="r must be finite and positive"):
+            coeffs_from_nc_function(refuse, y, 1, r=bad)
+
+    def test_coefficient_count_is_capped_before_any_call(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("black box called past the cap")
+
+        for n, d in [(1, 1), (1, 2), (2, 1), (3, 3)]:
+            refused = r"\(%d, %d, %d\) would hold" % (n, d, 10 ** 12)
+            with pytest.raises(ValueError, match=refused):
+                coeffs_from_nc_function(refuse, CentrePoint([np.zeros((n, n))] * d), 10 ** 12)
+        y = CentrePoint([np.zeros((2, 2))] * 2)
+        monkeypatch.setattr(core, "ALLOCATION_CAP", fock_dim(2, 2, 2) - 1)
+        with pytest.raises(ValueError, match="292 entries, more than the cap of 291"):
+            coeffs_from_nc_function(refuse, y, 2)
+        monkeypatch.setattr(core, "ALLOCATION_CAP", fock_dim(2, 2, 2))
+        h = coeffs_from_nc_function(lambda x: np.kron(np.eye(x.level_m), np.eye(2)), y, 2)
+        assert h.L == 2 and h.coeff((1,), (1,), ()) == 1.0
+
     def test_constant_gives_vacuum_expansion(self):
         rng = np.random.default_rng(11)
         n, d = 2, 2

@@ -27,3 +27,21 @@ def test_traced_round_replays_every_operation(name, tmp_path):
     assert failures == []
     assert bench_worker.check_rounds(w, [first]) == []
     assert len(tracer.durations("replay")) == len(w.ops)
+
+
+@pytest.mark.parametrize("name, probes", [("eval-serve", False), ("fock-roundtrip", True)])
+def test_block_nilpotent_points_only_where_the_workload_probes(name, probes, tmp_path,
+                                                               monkeypatch):
+    """eval-serve's points leave the block scan at their first diagonal block;
+    every black-box call of fock-roundtrip is block-nilpotent and certified."""
+    from ncreal import realization
+
+    decide, verdicts = realization._decide, []
+    monkeypatch.setattr(realization, "_decide",
+                        lambda r, x: verdicts.append(decide(r, x)) or verdicts[-1])
+    w = WORKLOADS[name](7, str(tmp_path), tiny=True)
+    tracer = bench_trace.Tracer()
+    bench_worker.run_rounds(w, 0.0, tracer)
+    blocks = [v[3].decided_by for v in verdicts if isinstance(v[1], realization._BlockT)]
+    calls = tracer.metrics(1)["fock.blackbox.calls"]
+    assert blocks == ["certificate"] * int(calls) and (calls > 0) == probes

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +241,107 @@ class TestEvaluationKernel:
         assert len(built) == 1
         for got, want in zip(h.components, expected.components):
             assert np.array_equal(got, want)
+
+
+def tree_probe(rng, y, scale):
+    """A block-nilpotent point: the path 0 - 1 - 2 with two children below node 2."""
+    from ncreal.analysis import tree_point
+
+    parents = [0, 1, 2, 2]
+    return tree_point(y, parents, [1, 2, 1, 2], [cmat(rng, y.base_n, y.base_n)
+                                                 for _ in parents], scale)
+
+
+def planted(rng, x, k, l):
+    """x with a random n x n block added at block (k, l) of its first component."""
+    n = x.base_n
+    comps = [c.copy() for c in x.components]
+    comps[0][k * n:(k + 1) * n, l * n:(l + 1) * n] += cmat(rng, n, n)
+    return MatrixTuple(comps, n)
+
+
+def lu_value(r, x):
+    """The value at X from a dense LU solve of the whole pencil."""
+    m = x.level_m
+    if isinstance(r, FMRealization):
+        rhs = ampliated_apply(r.B, x - ampliate(r.Y, m))
+        return np.kron(np.eye(m), r.D) + np.kron(np.eye(m), r.C) @ np.linalg.solve(
+            pencil(r, x), rhs)
+    return np.kron(np.eye(m), np.conj(r.b).T) @ np.linalg.solve(
+        pencil(r, x), np.kron(np.eye(m), r.c))
+
+
+def rational_realization(rng, kind):
+    """A dense map with a cycle in its pattern: no nilpotency index."""
+    from ncreal.algebra import fm_to_desc
+    from ncreal.analysis import kalman_minimize
+    from ncreal.parser import parse, realize_expression
+
+    fm = realize_expression(parse("inv(x1*x2 + 3) - x2*x1", 2), random_centre(rng, 2, 2))
+    r = fm if kind == "fm" else kalman_minimize(fm_to_desc(fm))
+    assert not r.A.is_sparse and r.A.nilpotency_index is None
+    return r
+
+
+class TestBlockNilpotentKernel:
+    @pytest.mark.parametrize("kind", ["fm", "descriptor"])
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_certified_finite_sum_takes_no_factorization(self, kind, scale, monkeypatch):
+        rng = np.random.default_rng(41)
+        r = rational_realization(rng, kind)
+        x = tree_probe(rng, r.Y, scale)
+        h = x - ampliate(r.Y, x.level_m)
+        # the whole-T certificate cannot prove this point: it would take an SVD
+        assert realization._certify(r.A, h, ampliated_apply(r.A, h)) is None
+        exact = pencil_sigma(r, x)
+        expected = lu_value(r, x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a factorization was taken")
+
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", refuse)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        e = evaluate(r, x)
+        monkeypatch.undo()
+        assert e.decided_by == "certificate"
+        assert e.in_domain == passes_invertibility(*exact) is True
+        assert e.sigma_min <= exact[0] and e.sigma_max >= exact[1]
+        assert np.linalg.norm(e.value - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("plant", [None, (0, 0), (3, 3), (2, 1)])
+    def test_diagonal_block_cycle_or_sparse_map_builds_t_whole(self, plant, sparse,
+                                                                monkeypatch):
+        # (0, 0) and (3, 3) are nonzero diagonal blocks; (2, 1) closes the
+        # 2-cycle with the path edge 1 -> 2
+        rng = np.random.default_rng(42)
+        r = rational_realization(rng, "descriptor")
+        if sparse:
+            r = DescriptorRealization(MatrixLinearMap(scipy.sparse.csr_matrix(r.A.stack),
+                                                      r.d, r.n), r.b, r.c, r.Y)
+        x = tree_probe(rng, r.Y, 3.0)
+        if plant is not None:
+            x = planted(rng, x, *plant)
+        whole = []
+        monkeypatch.setattr(realization, "ampliated_apply",
+                            lambda a, h: whole.append(a) or ampliated_apply(a, h))
+        e = evaluate(r, x)
+        monkeypatch.undo()
+        finite_sum = plant is None and not sparse
+        assert whole == ([] if finite_sum else [r.A])
+        assert e.decided_by == ("certificate" if finite_sum else "svd")
+        assert e.in_domain == passes_invertibility(*pencil_sigma(r, x))
+        if e.in_domain:
+            assert_allclose(e.value, lu_value(r, x), rtol=1e-10, atol=1e-12)
+        assert (pole_order(r, x) == 0) == e.in_domain
+
+    def test_centre_is_a_one_term_sum(self):
+        rng = np.random.default_rng(43)
+        r = rational_realization(rng, "fm")
+        e = evaluate(r, ampliate(r.Y, 2))
+        assert e.decided_by == "certificate" and (e.sigma_min, e.sigma_max) == (1.0, 1.0)
+        assert np.array_equal(e.value, np.kron(np.eye(2), r.D))
 
 
 class TestTransfer:
