@@ -280,25 +280,10 @@ def _capped_degree(n, d, L):
     return L if d * n * n < 2 else min(L, core.ALLOCATION_CAP.bit_length())
 
 
-def fock_realization(h, y, scale=1.0):
-    """The canonical descriptor realization of h about Y on C^n (x) F_n(C^d).
-
-    A_k(Z) = (1/scale) sum_{i,j} Z E_{i,j} (x) R*_{i,j;k}, c v = v (x) h_scale
-    and b* (u (x) f) = sum <E_{i,j} * e_0, f> E_{i,j} u, where h_scale dilates
-    the degree-l coefficients by scale^l.  The truncated adjoint creation
-    tuple is jointly nilpotent, so the pencil is unipotent: the transfer
-    equals :func:`eval_fock` exactly, at points of every norm.
-
-    A is one CSR stack of units read off the right-creation targets.  When
-    d n^3 fock_dim, a bound on A's nonzeros, exceeds ALLOCATION_CAP, or scale
-    is not finite and positive: ValueError.
-    """
-    n, d, L = h.n, h.d, h.L
-    if y.base_n != n or y.d != d:
-        raise ValueError("centre does not match the Fock data")
-    require_positive("scale", scale)
-    require_within_cap(d * n ** 3 * fock_dim(n, d, _capped_degree(n, d, L)),
-                       "the Fock realization at (n, d, L) = (%d, %d, %d)" % (n, d, L))
+@lru_cache(maxsize=8)
+def _fock_map(n, d, L, scale):
+    """The Fock map A of :func:`fock_realization`, built once per key and shared: its
+    CSR arrays are read-only, and its nilpotency index and cb bound are kept."""
     dim = fock_dim(n, d, L)
     # targets[k, q, j]: where R_{q+1, j+1; k+1} sends each basis vector below degree L
     targets = np.array([[[_creation_targets(n, d, L, q + 1, j + 1, k + 1, last=True)
@@ -312,7 +297,33 @@ def fock_realization(h, y, scale=1.0):
         (np.full(rows.size, 1.0 / scale, dtype=np.complex128), (rows.ravel(), cols.ravel())),
         shape=(d * n * n * n * dim, n * dim))
     a = MatrixLinearMap(stack, d, n)
+    for arr in (a.stack.data, a.stack.indices, a.stack.indptr):
+        arr.flags.writeable = False
+    return a
 
+
+def fock_realization(h, y, scale=1.0):
+    """The canonical descriptor realization of h about Y on C^n (x) F_n(C^d).
+
+    A_k(Z) = (1/scale) sum_{i,j} Z E_{i,j} (x) R*_{i,j;k}, c v = v (x) h_scale
+    and b* (u (x) f) = sum <E_{i,j} * e_0, f> E_{i,j} u, where h_scale dilates
+    the degree-l coefficients by scale^l.  The truncated adjoint creation
+    tuple is nilpotent of order L + 1, so the value is the finite sum of
+    :mod:`ncreal.realization`: it equals :func:`eval_fock` at points of every norm.
+
+    A is one CSR stack of units read off the right-creation targets, built once
+    per (n, d, L, scale) and shared, read-only; only b and c depend on h.  When
+    d n^3 fock_dim, a bound on A's nonzeros, exceeds ALLOCATION_CAP, or scale
+    is not finite and positive: ValueError.
+    """
+    n, d, L = h.n, h.d, h.L
+    if y.base_n != n or y.d != d:
+        raise ValueError("centre does not match the Fock data")
+    require_positive("scale", scale)
+    require_within_cap(d * n ** 3 * fock_dim(n, d, _capped_degree(n, d, L)),
+                       "the Fock realization at (n, d, L) = (%d, %d, %d)" % (n, d, L))
+    a = _fock_map(n, d, L, float(scale))
+    dim = fock_dim(n, d, L)
     # np.kron, not eye_kron: the signs of its zeros reach the saved file's bytes
     c = np.kron(np.eye(n), h.scaled_by_degree(scale).to_dense()[:, None])
     # b*(e_j (x) vacuum_{i,j}) = e_i, where vacuum[i - 1, j - 1] is E_ij * e_0

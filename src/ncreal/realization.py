@@ -15,38 +15,39 @@ affine input coupling instead and evaluate to
 
 One kernel, :func:`evaluate`, evaluates both forms; :func:`in_domain`,
 :func:`transfer` and :func:`transfer_fm` are views of it.  It builds
-T = sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j) once (sparse for a sparse map)
-and decides the invertibility test sigma_min > INVERTIBILITY_RTOL *
-max(1, sigma_max) on the pencil I - T in this order:
+T = sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j) once and decides the
+invertibility test sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max) on the
+pencil I - T in this order:
 
-1. For a dense map, the block-nilpotent case.  Block (k, l) of T only
-   combines the entries of the (k, l) blocks of H = X - I_m (x) Y, so when
-   H's graph of nonzero n x n blocks is acyclic, T^{K_H} = 0 exactly, with
-   K_H its depth (a longest path plus one, :func:`~ncreal.core.graph_depth`).
-   A nonzero first diagonal block ends the scan in O(d n^2), so a generic
-   point pays next to nothing for it.  T is then built from H's nonzero
-   blocks only, with K = min(A.nilpotency_index, K_H).  When the bounds of
-   step 3, with the one-inf bound of step 2, pass the test of step 4, the
-   value is the exact sum (I - T)^{-1} R = sum_{k<K} T^k R, taken with
-   K - 1 block products and no factorization.  Otherwise (a cycle among H's
-   blocks, a sparse map, a certificate that does not fire) T is built whole
-   and steps 2 to 5 decide.
+1. T, and K with T^K = 0 or None.  Block (k, l) of T only combines the
+   entries of the (k, l) blocks of H = X - I_m (x) Y, so for a dense map at a
+   point whose graph of nonzero n x n blocks of H is acyclic, T^{K_H} = 0
+   exactly, with K_H the graph's depth (a longest path plus one,
+   :func:`~ncreal.core.graph_depth`).  T is then kept in blocks, built from
+   H's nonzero blocks only, and K = min(A.nilpotency_index, K_H).  A nonzero
+   first diagonal block ends this scan in O(d n^2).  Otherwise T is built
+   whole, sparse for a sparse map, and K is A.nilpotency_index, read once per
+   map off the union of its units' sparsity patterns.
 2. An upper bound q >= ||T||_2, padded for roundoff: the smaller of
    sqrt(||T||_1 ||T||_inf), which costs O(nnz), and, for a dense map only,
-   cb_row_norm_bound(A) * column_norm(X - I_m (x) Y), the paper's domain
-   radius (the cb bound is computed once per map).
-3. Bounds on the singular values of I - T: sigma_max <= 1 + q always.  If
-   the map has a nilpotency index K (A.nilpotency_index, read once per map
-   off the union of its units' sparsity patterns, dense or sparse), then
-   T^K = 0 at every point and sigma_min >= 1 / sum_{k<K} q^k.  Otherwise,
-   if q < 1, sigma_min >= 1 - q.
-4. The certificate fires when lower > INVERTIBILITY_RTOL * max(1, upper).
-   The exact test then passes, so the verdict is the same.
-5. Otherwise one dense SVD gives the exact sigma_min and sigma_max, and
-   the test is applied to them.
+   cb_row_norm_bound(A) * column_norm(H), the paper's domain radius.
+3. Bounds on the singular values of I - T: upper = 1 + q, and
+   lower = 1 / sum_{k<K} q^k when T^K = 0, else 1 - q.
+4. The certificate fires when lower > INVERTIBILITY_RTOL * max(1, upper):
+   the exact test then passes too.  Otherwise one dense SVD gives the exact
+   sigma_min and sigma_max, and the test is applied to them.
+
+The value rule: every value is C (or b*) applied to each block row of
+S = (I - T)^{-1} R, with R = B(H) and I_m (x) D added for an FM realization,
+and R = I_m (x) c for a descriptor one.  When the certificate fires and
+T^K = 0, S = sum_{k<K} T^k R exactly, taken Horner-style with K - 1
+products and no factorization.  Otherwise S is an LU solve of the pencil
+with one refinement step (SuperLU for a sparse map with a cycle).
+:func:`series_transfer` is the same sum with K = terms + 1.
 
 :func:`pencil`, :func:`pencil_sigma` and :func:`pole_order` stay exact; they
-are the only paths that take an SVD on purpose.
+are the only paths that take an SVD on purpose.  A dense copy of a sparse or
+block T is refused with ValueError above ALLOCATION_CAP entries.
 """
 
 import math
@@ -66,6 +67,7 @@ from .core import (
     json_field,
     passes_invertibility,
     read_json,
+    require_within_cap,
     singular_value_range,
     solve_refined,
     write_json,
@@ -267,14 +269,13 @@ def check_same_centre(r1, r2):
             raise ValueError("realizations have different centres")
 
 
-def _ampliated_at(a, r, x):
-    """sum_j (id_m (x) a_j)(X_j - I_m (x) Y_j) as a dense array."""
-    return _dense(ampliated_apply(a, deviation_from_centre(x, r.Y)))
-
-
 def _dense(t):
-    """t as a dense array: t itself, or a sparse or block T assembled."""
-    return t if isinstance(t, np.ndarray) else t.toarray()
+    """t as a dense array: t itself, or a sparse or block T assembled (ValueError when
+    its entries exceed ALLOCATION_CAP)."""
+    if isinstance(t, np.ndarray):
+        return t
+    require_within_cap(t.shape[0] * t.shape[1], "a dense copy of the %d x %d matrix" % t.shape)
+    return t.toarray()
 
 
 def _identity_minus(t):
@@ -285,8 +286,9 @@ def _identity_minus(t):
 
 
 def pencil(r, x):
-    """L_A(X - I_m (x) Y) = I_{mN} - sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j), dense."""
-    return _identity_minus(_ampliated_at(r.A, r, x))
+    """L_A(X - I_m (x) Y) = I_{mN} - sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j), dense
+    (ValueError when a sparse map's (mN)^2 entries exceed ALLOCATION_CAP)."""
+    return _identity_minus(_dense(ampliated_apply(r.A, deviation_from_centre(x, r.Y))))
 
 
 def pencil_sigma(r, x):
@@ -294,9 +296,9 @@ def pencil_sigma(r, x):
 
     These are the numbers the invertibility test sigma_min >
     INVERTIBILITY_RTOL * max(1, sigma_max) compares, for a sparse pencil
-    too.  :func:`in_domain` reaches the same verdict, without this SVD
-    whenever its certificate lower > INVERTIBILITY_RTOL * max(1, upper)
-    fires (see the module docstring).
+    too (ValueError above ALLOCATION_CAP, as :func:`pencil`).  :func:`in_domain`
+    reaches the same verdict, without this SVD whenever its certificate
+    lower > INVERTIBILITY_RTOL * max(1, upper) fires (see the module docstring).
     """
     return singular_value_range(pencil(r, x))
 
@@ -347,11 +349,17 @@ def _singular_value_bounds(q, index):
     return 1.0 / total, 1.0 + q
 
 
+def _index(a, t):
+    """K with T^K = 0: a block T's own index, else the map's (None on a cycle)."""
+    return t.index if isinstance(t, _BlockT) else a.nilpotency_index
+
+
 def _certify(a, h, t):
     """Certified (lower, upper) singular value bounds of I - t that pass the
-    invertibility test, or None when the bounds at hand cannot prove it."""
-    q = _one_inf_bound(t)
-    index = a.nilpotency_index
+    invertibility test, or None when the bounds at hand cannot prove it.  ``t``
+    is T whole, dense or sparse, or a :class:`_BlockT`."""
+    q = t.one_inf_bound() if isinstance(t, _BlockT) else _one_inf_bound(t)
+    index = _index(a, t)
     bounds = _singular_value_bounds(q * (1.0 + _BOUND_PAD), index)
     if not passes_invertibility(*bounds) and not a.is_sparse:
         q = min(q, _cb_col_bound(a, h))
@@ -362,16 +370,22 @@ def _certify(a, h, t):
 class _BlockT(namedtuple("_BlockT", ["level", "rows", "cols", "blocks", "index"])):
     """T at a block-nilpotent point: block (rows[e], cols[e]) is blocks[e], T^index = 0."""
 
+    @property
+    def shape(self):
+        side = self.level * self.blocks.shape[1]
+        return side, side
+
     def toarray(self):
         m, size = self.level, self.blocks.shape[1]
         out = np.zeros((m, size, m, size), dtype=np.complex128)
         out[self.rows, :, self.cols, :] = self.blocks
         return out.reshape(m * size, m * size)
 
-    def times(self, s):
-        """T s for the m block rows s[k] of a block column: one batched product."""
-        prod = (self.blocks @ s[self.cols]).reshape(len(self.rows), -1)
-        return (_summing(self.rows, self.level) @ prod).reshape(s.shape)
+    def __matmul__(self, s):
+        """T s for an (m N) x k array s: one batched product over the stored blocks."""
+        m, size, k = self.level, self.blocks.shape[1], s.shape[1]
+        prod = (self.blocks @ s.reshape(m, size, k)[self.cols]).reshape(len(self.rows), -1)
+        return (_summing(self.rows, m) @ prod).reshape(m * size, k)
 
     def one_inf_bound(self):
         """sqrt(||T||_1 ||T||_inf) >= ||T||_2, from the stored blocks."""
@@ -416,18 +430,14 @@ def _decide(r, x):
 
     Returns (H, T, None, verdict) when the certificate fires, and otherwise
     (H, None, the dense pencil, verdict) after its SVD; the verdict is an
-    :class:`Evaluation` without a value.  T is a :class:`_BlockT` when the
-    block-nilpotent certificate fires.  T is dropped as soon as the pencil
+    :class:`Evaluation` without a value.  T is a :class:`_BlockT` at a
+    block-nilpotent point of a dense map.  T is dropped as soon as the pencil
     exists, so it never lives beside the copy an SVD or LU makes.
     """
     h = deviation_from_centre(x, r.Y)
-    if not r.A.is_sparse:
-        t = _block_nilpotent(r.A, h)
-        if t is not None:
-            bounds = _singular_value_bounds(t.one_inf_bound() * (1.0 + _BOUND_PAD), t.index)
-            if passes_invertibility(*bounds):
-                return h, t, None, Evaluation(None, True, bounds[0], bounds[1], "certificate")
-    t = ampliated_apply(r.A, h)
+    t = None if r.A.is_sparse else _block_nilpotent(r.A, h)
+    if t is None:
+        t = ampliated_apply(r.A, h)
     bounds = _certify(r.A, h, t)
     if bounds is not None:
         return h, t, None, Evaluation(None, True, bounds[0], bounds[1], "certificate")
@@ -443,60 +453,41 @@ def _decided_pencil(r, x):
     return (_identity_minus(_dense(t)) if p is None else p), verdict
 
 
-def _finite_sum_value(r, h, t):
-    """The value at a block-nilpotent point from (I - T)^{-1} R = sum_{k<K} T^k R,
-    taken with K - 1 block products; I_m (x) C or I_m (x) b* acts block by block."""
-    m, n, fm = t.level, r.n, isinstance(r, FMRealization)
+def _value(r, h, op, index):
+    """The value at H from S = (I - T)^{-1} R by the module's value rule: ``op`` is T
+    and S = sum_{k<index} T^k R when T^index = 0, else ``op`` is the pencil I - T
+    and S its refined LU solve."""
+    m, n, fm = h.level_m, r.n, isinstance(r, FMRealization)
     rhs = _dense(ampliated_apply(r.B, h)) if fm else eye_kron(m, r.c)
-    rhs = rhs.reshape(m, r.N, m * n)
-    s = rhs
-    for _ in range(t.index - 1):
-        s = rhs + t.times(s)
-    value = ((r.C if fm else np.conj(r.b).T) @ s).reshape(m * n, m * n)
+    if index is None:
+        s = solve_refined(op, rhs)
+    else:
+        s = rhs
+        for _ in range(index - 1):
+            s = rhs + op @ s
+    value = ((r.C if fm else np.conj(r.b).T) @ s.reshape(m, r.N, m * n)).reshape(m * n, m * n)
     return value + eye_kron(m, r.D) if fm else value
 
 
 def evaluate(r, x):
     """The value of a descriptor or FM realization at X, as an :class:`Evaluation`.
 
-    Builds T = sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j) once, sparse for a
-    sparse map, and decides the invertibility test on I - T as the module
-    docstring describes.  decided_by is "certificate" when sigma_min and
-    sigma_max are the certified bounds, "svd" when they are the exact
-    singular values.  At a certified block-nilpotent point the value is the
-    exact finite sum of the module docstring's step 1.  Otherwise, inside the
-    domain, the pencil is solved by LU with one refinement step (a sparse LU
-    when it is sparse); outside, value is None.
+    The test and the value follow the module docstring; outside the domain,
+    value is None.  decided_by is "certificate" when sigma_min and sigma_max
+    are the certified bounds, "svd" when they are the exact singular values.
     """
     h, t, p, verdict = _decide(r, x)
     if not verdict.in_domain:
         return verdict
-    if isinstance(t, _BlockT):
-        return verdict._replace(value=_finite_sum_value(r, h, t))
-    if p is None:
-        p = _identity_minus(t)
-        del t
-    m = x.level_m
-    if isinstance(r, FMRealization):
-        sol = solve_refined(p, _dense(ampliated_apply(r.B, h)))
-        value = eye_kron(m, r.D) + eye_kron(m, r.C) @ sol
-    else:
-        sol = solve_refined(p, eye_kron(m, r.c))
-        value = eye_kron(m, np.conj(r.b).T) @ sol
-    return verdict._replace(value=value)
+    index = None if t is None else _index(r.A, t)
+    if index is None:   # the pencil replaces T before the LU copies it
+        t = _identity_minus(t) if p is None else p
+    return verdict._replace(value=_value(r, h, t, index))
 
 
 def in_domain(r, x):
-    """Whether the pencil at X passes the invertibility test.
-
-    The test is sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max) on the
-    pencil I - T.  First the certificate: with q >= ||T||_2, sigma_max <=
-    upper = 1 + q and sigma_min >= lower = 1 / sum_{k<K} q^k (when T^K = 0:
-    K is A.nilpotency_index, or at a block-nilpotent point of a dense map
-    the smaller of it and the depth of H's block graph) or 1 - q (q < 1),
-    and lower > INVERTIBILITY_RTOL * max(1, upper) proves the test passes.  Otherwise
-    one dense SVD decides (see the module docstring).  Both give the same
-    verdict.  A sparse pencil is held to the same threshold.
+    """Whether the pencil I - T at X passes the invertibility test, decided as the
+    module docstring describes: by the certificate or by one SVD, to one verdict.
 
     A unipotent pencil, such as that of a truncated Fock realization, is
     always invertible, but it is not always well conditioned: [[1, t], [0, 1]]
@@ -531,19 +522,13 @@ def moment(r, word, args):
 
 
 def series_transfer(r, x, terms):
-    """Truncated geometric expansion of the transfer through total degree ``terms``.
-
-    Accumulates I + T + ... + T^terms Horner-style for
-    T = sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j) and sandwiches it between the
-    ampliated b* and c.  No domain condition is required; convergence as
-    ``terms`` grows holds when column_norm(X - I_m (x) Y) < 1/||A||_cb.
+    """The value rule with (I - T)^{-1} replaced by I + T + ... + T^terms, for a
+    descriptor or FM realization; a sparse T stays sparse.  No domain condition
+    is required.  The sum converges as ``terms`` grows when column_norm(X - I_m (x) Y)
+    < 1/||A||_cb, and it is exact once terms + 1 reaches A.nilpotency_index.
     """
-    t = _ampliated_at(r.A, r, x)
-    eye_state = np.eye(t.shape[0], dtype=np.complex128)
-    acc = eye_state.copy()
-    for _ in range(terms):
-        acc = eye_state + t @ acc
-    return eye_kron(x.level_m, np.conj(r.b).T) @ acc @ eye_kron(x.level_m, r.c)
+    h = deviation_from_centre(x, r.Y)
+    return _value(r, h, ampliated_apply(r.A, h), terms + 1)
 
 
 def pole_order(r, x):

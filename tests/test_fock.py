@@ -8,7 +8,7 @@ from conftest import cmat, point_near_centre, random_centre, unit_column_tuple, 
 
 from ncreal.core import CentrePoint, MatrixTuple, all_words, ampliate, column_norm
 from ncreal.linmap import cb_row_norm_bound
-from ncreal.realization import pencil, transfer
+from ncreal.realization import evaluate, pencil, series_transfer, transfer
 from ncreal.algebra import fm_to_desc
 from ncreal.analysis import analytically_equivalent, kalman_minimize
 from ncreal.parser import eval_expression, parse, realize_expression
@@ -442,6 +442,57 @@ class TestFockRealization:
         tv = transfer(r, x)
         monkeypatch.undo()
         assert np.linalg.norm(tv - ev) <= 1e-12 * np.linalg.norm(ev)
+
+    def test_certified_point_is_a_finite_sum_without_superlu(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SuperLU called on a nilpotent pencil")
+
+        rng = np.random.default_rng(64)
+        n, d, L = 2, 2, 2
+        y = random_centre(rng, n, d)
+        h = random_fock_vector(rng, n, d, L)
+        r = fock_realization(h, y)
+        for m, scale in ((1, 2.0), (2, 0.7)):
+            x = ampliate(y, m) + unit_column_tuple(rng, n, m, d).scaled(scale)
+            ev = eval_fock(h, x, y)
+            monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+            e = evaluate(r, x)
+            monkeypatch.undo()
+            assert e.decided_by == "certificate"
+            assert np.linalg.norm(e.value - ev) <= 1e-12 * np.linalg.norm(ev)
+
+    def test_series_keeps_the_map_sparse(self, monkeypatch):
+        import scipy.sparse._compressed
+
+        rng = np.random.default_rng(65)
+        n, d, L = 2, 2, 2
+        y = random_centre(rng, n, d)
+        h = random_fock_vector(rng, n, d, L)
+        r = fock_realization(h, y)
+        x = ampliate(y, 2) + unit_column_tuple(rng, n, 2, d).scaled(1.5)
+        ev = eval_fock(h, x, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sparse T was densified")
+
+        monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "toarray", refuse)
+        value = series_transfer(r, x, L)
+        monkeypatch.undo()
+        assert np.linalg.norm(value - ev) <= 1e-12 * np.linalg.norm(ev)
+
+    @pytest.mark.parametrize("n,d,L", FOCK_GRID)
+    def test_map_is_built_once_per_key_and_read_only(self, n, d, L):
+        rng = np.random.default_rng(66)
+        y = random_centre(rng, n, d)
+        r1 = fock_realization(random_fock_vector(rng, n, d, L), y)
+        r2 = fock_realization(random_fock_vector(rng, n, d, L), random_centre(rng, n, d))
+        assert r1.A is r2.A and r1.A.nilpotency_index == L + 1
+        assert fock_realization(random_fock_vector(rng, n, d, L), y, 2.0).A is not r1.A
+        for arr in (r1.A.stack.data, r1.A.stack.indices, r1.A.stack.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = arr[:1]
 
     def test_transfer_at_4680_states_equals_evaluation(self):
         rng = np.random.default_rng(62)

@@ -344,6 +344,89 @@ class TestBlockNilpotentKernel:
         assert np.array_equal(e.value, np.kron(np.eye(2), r.D))
 
 
+def polynomial_fm(rng):
+    """A dense FM map of a polynomial: its union pattern is acyclic."""
+    from ncreal.parser import parse, realize_expression
+
+    fm = realize_expression(parse("x1*x2*x1 - 2*x2*x1 + x2", 2), random_centre(rng, 2, 2))
+    assert not fm.A.is_sparse and fm.A.nilpotency_index is not None
+    return fm
+
+
+def cyclic_sparse_realization():
+    """A sparse map whose union pattern is the cycle 0 -> 1 -> 0: no nilpotency index."""
+    units = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    amap = MatrixLinearMap(scipy.sparse.csr_matrix(units), 2, 1)
+    assert amap.nilpotency_index is None
+    return DescriptorRealization(amap, np.eye(2, 1), np.eye(2, 1),
+                                 CentrePoint([np.zeros((1, 1))] * 2))
+
+
+class TestValueRule:
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_nilpotent_map_at_a_generic_point_takes_no_lu(self, m, monkeypatch):
+        rng = np.random.default_rng(44)
+        fm = polynomial_fm(rng)
+        x = point_near_centre(rng, fm.Y, m, 0.7)
+        h = x - ampliate(fm.Y, m)
+        assert realization._block_nilpotent(fm.A, h) is None   # not a block point
+        expected = lu_value(fm, x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LU factorization was taken")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        e = evaluate(fm, x)
+        monkeypatch.undo()
+        assert e.decided_by == "certificate" and e.in_domain
+        assert np.linalg.norm(e.value - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_series_of_an_fm_polynomial_is_its_value(self):
+        rng = np.random.default_rng(45)
+        fm = polynomial_fm(rng)
+        x = point_near_centre(rng, fm.Y, 2, 0.7)
+        terms = fm.A.nilpotency_index - 1
+        expected = transfer_fm(fm, x)
+        for more in (0, 2):
+            assert_allclose(series_transfer(fm, x, terms + more), expected,
+                            rtol=1e-12, atol=1e-12)
+        assert_allclose(series_transfer(fm, x, 0), np.kron(np.eye(2), fm.D)
+                        + np.kron(np.eye(2), fm.C) @ ampliated_apply(fm.B, x - ampliate(fm.Y, 2)),
+                        rtol=1e-12, atol=1e-12)
+
+    def test_cyclic_sparse_map_still_takes_superlu(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        # T = [[0, 0.3], [0.1, 0]]: q < 1 certifies, with no nilpotency index
+        r = cyclic_sparse_realization()
+        x = MatrixTuple([np.array([[0.3]]), np.array([[0.1]])], 1)
+        calls, splu = [], scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        e = evaluate(r, x)
+        assert e.decided_by == "certificate" and len(calls) == 1
+        assert_allclose(e.value, [[1.0 / 0.97]], rtol=1e-14)
+
+    def test_dense_copies_of_a_sparse_t_are_capped(self, monkeypatch):
+        from ncreal import core
+
+        r = cyclic_sparse_realization()
+        # at level 2 the pencil has 16 entries; T = [[0, 30], [10, 0]] per block
+        # lies outside the certificate
+        x = MatrixTuple([30.0 * np.eye(2), 10.0 * np.eye(2)], 1)
+        assert realization._certify(r.A, x, ampliated_apply(r.A, x)) is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense SVD was taken past the cap")
+
+        monkeypatch.setattr(core, "ALLOCATION_CAP", 15)
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", refuse)
+        for call in (evaluate, in_domain, pole_order, pencil, pencil_sigma):
+            with pytest.raises(ValueError, match="16 entries, more than the cap of 15"):
+                call(r, x)
+
+
 class TestTransfer:
     def test_zero_one_one_is_constant_one(self):
         # the one-dimensional realization (0, 1, 1) defines the constant 1
