@@ -201,6 +201,8 @@ def cmd_fock(args):
 
 
 def cmd_domain_sample(args):
+    require_nonnegative("--samples", args.samples)
+    require_nonnegative("--seed", args.seed)
     r = _as_descriptor(load_realization(args.real_file))
     rng = np.random.default_rng(args.seed)
     rows = ["index,scale,in_domain,pencil_sigma_min,pole_order"]

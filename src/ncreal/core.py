@@ -168,13 +168,15 @@ def graph_depth(pattern):
     tolerance enters.  At depth K, every product of K matrices whose nonzero
     entries lie on the graph's edges is zero.
     """
-    alive = np.ones(pattern.shape[0], dtype=bool)
-    depth = 0
-    while alive.any():
-        sinks = alive & (pattern @ alive.astype(np.float64) == 0)
-        if not sinks.any():
+    alive = np.ones(pattern.shape[0])   # 1.0 on the vertices not yet peeled
+    left, depth = pattern.shape[0], 0
+    while left:
+        sinks = (pattern @ alive == 0) * alive
+        peeled = np.count_nonzero(sinks)
+        if not peeled:
             return None   # each vertex left has an out-edge among them: a cycle
-        alive &= ~sinks
+        alive -= sinks
+        left -= peeled
         depth += 1
     return depth
 

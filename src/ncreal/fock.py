@@ -194,7 +194,7 @@ class TruncatedFockVector:
         where = "fock vector"
         n, d, big_l = (json_field(obj, key, int, where) for key in ("n", "d", "L"))
         terms = json_field(obj, "terms", list, where)
-        keys, pairs = [], []
+        keys, pairs = {}, []
         for i, term in enumerate(terms):
             at = "%s.terms[%d]" % (where, i)
             key = tuple(tuple(json_field(term, part, list, at))
@@ -202,7 +202,10 @@ class TruncatedFockVector:
             if not all(isinstance(k, int) and not isinstance(k, bool)
                        for k in key[0] + key[1] + key[2]):
                 raise ValueError("%s: alpha, beta and omega must hold integer letters" % at)
-            keys.append(key)
+            if key in keys:
+                raise ValueError("%s.terms[%d] and terms[%d] repeat the term %r"
+                                 % (where, keys[key], i, key))
+            keys[key] = i
             pairs.append(json_field(term, "c", list, at))
         values = decode_complex(pairs, (len(terms),), where + ".terms")
         return cls(n, d, big_l, dict(zip(keys, values)))

@@ -39,7 +39,6 @@ __all__ = [
     "MatrixLinearMap",
     "apply",
     "ampliated_apply",
-    "unit_combinations",
     "word_apply",
     "adjoint_word_apply",
     "cb_row_norm_bound",
@@ -240,8 +239,8 @@ def _ampliate(a, coeffs, m):
     """sum_u X_u (x) A(u) for the (m m) x (d n n) matrix ``coeffs`` of entries X_u[k, l]."""
     rows, cols, stack = a.out_rows, a.out_cols, a.stack
     if not a.is_sparse:
-        prod = unit_combinations(a, coeffs).reshape(m, m, rows, cols).transpose(0, 2, 1, 3)
-        return prod.reshape(m * rows, m * cols)
+        prod = (coeffs @ stack.reshape(a.units, rows * cols)).reshape(m, m, rows, cols)
+        return prod.transpose(0, 2, 1, 3).reshape(m * rows, m * cols)
     # X_u[k, l] A(u)[r, s] lands at (k N + r, l M + s); the stored entries of
     # unit u are the CSR range [indptr[u N], indptr[(u + 1) N])
     kl, u = np.nonzero(coeffs)
@@ -254,13 +253,6 @@ def _ampliate(a, coeffs, m):
     s = stack.indices[entry] + (l * cols)[pair]
     data = coeffs[kl, u][pair] * stack.data[entry]
     return scipy.sparse.csr_matrix((data, (r, s)), shape=(m * rows, m * cols))
-
-
-def unit_combinations(a, coeffs):
-    """sum_u coeffs[e, u] A(u) for each row e of the E x (d n n) matrix ``coeffs``, as an
-    (E, N, M) array: one product with the stack of a dense map."""
-    prod = coeffs @ a.stack.reshape(a.units, a.out_rows * a.out_cols)
-    return prod.reshape(len(coeffs), a.out_rows, a.out_cols)
 
 
 def word_apply(a, word, args):

@@ -19,15 +19,14 @@ T = sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j) once and decides the
 invertibility test sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max) on the
 pencil I - T in this order:
 
-1. T, and K with T^K = 0 or None.  Block (k, l) of T only combines the
-   entries of the (k, l) blocks of H = X - I_m (x) Y, so for a dense map at a
-   point whose graph of nonzero n x n blocks of H is acyclic, T^{K_H} = 0
-   exactly, with K_H the graph's depth (a longest path plus one,
-   :func:`~ncreal.core.graph_depth`).  T is then kept in blocks, built from
-   H's nonzero blocks only, and K = min(A.nilpotency_index, K_H).  A nonzero
-   first diagonal block ends this scan in O(d n^2).  Otherwise T is built
-   whole, sparse for a sparse map, and K is A.nilpotency_index, read once per
-   map off the union of its units' sparsity patterns.
+1. T = ampliated_apply(A, H) with H = X - I_m (x) Y, dense for a dense map
+   and CSR for a sparse one, and K with T^K = 0 or None.  A.nilpotency_index,
+   read once per map off the union of its units' sparsity patterns, holds at
+   every point.  Block (k, l) of T only combines the entries of the (k, l)
+   blocks of H, so where H's graph of nonzero n x n blocks is acyclic,
+   T^{K_H} = 0 exactly too, with K_H the graph's depth (a longest path plus
+   one, :func:`~ncreal.core.graph_depth`), and K is the smaller of the two.
+   A nonzero first diagonal block ends this scan in O(d n^2).
 2. An upper bound q >= ||T||_2, padded for roundoff: the smaller of
    sqrt(||T||_1 ||T||_inf), which costs O(nnz), and, for a dense map only,
    cb_row_norm_bound(A) * column_norm(H), the paper's domain radius.
@@ -42,12 +41,12 @@ S = (I - T)^{-1} R, with R = B(H) and I_m (x) D added for an FM realization,
 and R = I_m (x) c for a descriptor one.  When the certificate fires and
 T^K = 0, S = sum_{k<K} T^k R exactly, taken Horner-style with K - 1
 products and no factorization.  Otherwise S is an LU solve of the pencil
-with one refinement step (SuperLU for a sparse map with a cycle).
+with one refinement step (SuperLU when a sparse T is certified with no K).
 :func:`series_transfer` is the same sum with K = terms + 1.
 
 :func:`pencil`, :func:`pencil_sigma` and :func:`pole_order` stay exact; they
-are the only paths that take an SVD on purpose.  A dense copy of a sparse or
-block T is refused with ValueError above ALLOCATION_CAP entries.
+are the only paths that take an SVD on purpose.  A dense copy of a sparse T
+is refused with ValueError above ALLOCATION_CAP entries.
 """
 
 import math
@@ -72,7 +71,7 @@ from .core import (
     solve_refined,
     write_json,
 )
-from .linmap import MatrixLinearMap, ampliated_apply, unit_combinations, word_apply
+from .linmap import MatrixLinearMap, ampliated_apply, word_apply
 
 __all__ = [
     "DescriptorRealization",
@@ -270,8 +269,8 @@ def check_same_centre(r1, r2):
 
 
 def _dense(t):
-    """t as a dense array: t itself, or a sparse or block T assembled (ValueError when
-    its entries exceed ALLOCATION_CAP)."""
+    """t as a dense array: t itself, or a copy of a sparse t (ValueError when its
+    entries exceed ALLOCATION_CAP)."""
     if isinstance(t, np.ndarray):
         return t
     require_within_cap(t.shape[0] * t.shape[1], "a dense copy of the %d x %d matrix" % t.shape)
@@ -322,8 +321,8 @@ def _one_inf_bound(t):
     """sqrt(||t||_1 ||t||_inf) >= ||t||_2, in O(nnz) for a sparse t."""
     if t.shape[0] == 0:
         return 0.0
-    a = abs(t)
-    return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+    a, ones = abs(t), np.ones(t.shape[0])   # column and row sums as two products
+    return math.sqrt(float((ones @ a).max()) * float((a @ ones).max()))
 
 
 def _cb_col_bound(a, h):
@@ -349,17 +348,28 @@ def _singular_value_bounds(q, index):
     return 1.0 / total, 1.0 + q
 
 
-def _index(a, t):
-    """K with T^K = 0: a block T's own index, else the map's (None on a cycle)."""
-    return t.index if isinstance(t, _BlockT) else a.nilpotency_index
+def _index(a, h):
+    """K with T^K = 0 for T = sum_j (id_m (x) A_j)(H_j), or None.
+
+    Block (k, l) of T combines only the (k, l) blocks of H, so T^K = 0 with K
+    the depth of the graph of H's nonzero n x n blocks when it is acyclic, for
+    every storage of A.  K is the smaller of that depth and A.nilpotency_index.
+    A nonzero first diagonal block, a loop, ends the scan in O(d n^2).
+    """
+    index, n, m = a.nilpotency_index, h.base_n, h.level_m
+    if any(c[:n, :n].any() for c in h.components):
+        return index   # the common case
+    depth = graph_depth(np.stack(h.components).reshape(h.d, m, n, m, n).any(axis=(0, 2, 4)))
+    if depth is None:   # a cycle, a nonzero diagonal block included
+        return index
+    return depth if index is None else min(depth, index)
 
 
-def _certify(a, h, t):
+def _certify(a, h, t, index):
     """Certified (lower, upper) singular value bounds of I - t that pass the
     invertibility test, or None when the bounds at hand cannot prove it.  ``t``
-    is T whole, dense or sparse, or a :class:`_BlockT`."""
-    q = t.one_inf_bound() if isinstance(t, _BlockT) else _one_inf_bound(t)
-    index = _index(a, t)
+    is T, dense or sparse, and T^index = 0 unless index is None."""
+    q = _one_inf_bound(t)
     bounds = _singular_value_bounds(q * (1.0 + _BOUND_PAD), index)
     if not passes_invertibility(*bounds) and not a.is_sparse:
         q = min(q, _cb_col_bound(a, h))
@@ -367,89 +377,31 @@ def _certify(a, h, t):
     return bounds if passes_invertibility(*bounds) else None
 
 
-class _BlockT(namedtuple("_BlockT", ["level", "rows", "cols", "blocks", "index"])):
-    """T at a block-nilpotent point: block (rows[e], cols[e]) is blocks[e], T^index = 0."""
-
-    @property
-    def shape(self):
-        side = self.level * self.blocks.shape[1]
-        return side, side
-
-    def toarray(self):
-        m, size = self.level, self.blocks.shape[1]
-        out = np.zeros((m, size, m, size), dtype=np.complex128)
-        out[self.rows, :, self.cols, :] = self.blocks
-        return out.reshape(m * size, m * size)
-
-    def __matmul__(self, s):
-        """T s for an (m N) x k array s: one batched product over the stored blocks."""
-        m, size, k = self.level, self.blocks.shape[1], s.shape[1]
-        prod = (self.blocks @ s.reshape(m, size, k)[self.cols]).reshape(len(self.rows), -1)
-        return (_summing(self.rows, m) @ prod).reshape(m * size, k)
-
-    def one_inf_bound(self):
-        """sqrt(||T||_1 ||T||_inf) >= ||T||_2, from the stored blocks."""
-        a = abs(self.blocks)
-        if a.size == 0:
-            return 0.0
-        cols = _summing(self.cols, self.level) @ a.sum(axis=1)
-        rows = _summing(self.rows, self.level) @ a.sum(axis=2)
-        return math.sqrt(float(cols.max()) * float(rows.max()))
-
-
-def _summing(index, m):
-    """The m x E 0/1 matrix that adds E blocks into the block rows (or columns) ``index``."""
-    out = np.zeros((m, len(index)))
-    out[index, np.arange(len(index))] = 1.0
-    return out
-
-
-def _block_nilpotent(a, h):
-    """T in blocks when the graph of H's nonzero n x n blocks is acyclic, else None.
-
-    A nonzero first diagonal block ends the scan at once.  Otherwise T
-    is built from H's nonzero blocks only, and its index is the smaller of
-    the graph's depth and A.nilpotency_index.
-    """
-    n, m, d = h.base_n, h.level_m, h.d
-    if any(c[:n, :n].any() for c in h.components):
-        return None   # the common case, in O(d n^2)
-    blocks = np.stack(h.components).reshape(d, m, n, m, n)
-    graph = blocks.any(axis=(0, 2, 4))
-    depth = graph_depth(graph)   # None on a cycle, a nonzero diagonal block included
-    if depth is None:
-        return None
-    rows, cols = np.nonzero(graph)
-    coeffs = blocks[:, rows, :, cols, :].reshape(len(rows), d * n * n)
-    index = depth if a.nilpotency_index is None else min(depth, a.nilpotency_index)
-    return _BlockT(m, rows, cols, unit_combinations(a, coeffs), index)
-
-
 def _decide(r, x):
     """Build T at X once and decide the invertibility test on I - T.
 
-    Returns (H, T, None, verdict) when the certificate fires, and otherwise
-    (H, None, the dense pencil, verdict) after its SVD; the verdict is an
-    :class:`Evaluation` without a value.  T is a :class:`_BlockT` at a
-    block-nilpotent point of a dense map.  T is dropped as soon as the pencil
-    exists, so it never lives beside the copy an SVD or LU makes.
+    Returns (H, T, K, None, verdict) when the certificate fires, with K from
+    :func:`_index`, and otherwise (H, None, None, the dense pencil, verdict)
+    after its SVD; the verdict is an :class:`Evaluation` without a value.  T
+    is dropped as soon as the pencil exists, so it never lives beside the copy
+    an SVD or LU makes.
     """
     h = deviation_from_centre(x, r.Y)
-    t = None if r.A.is_sparse else _block_nilpotent(r.A, h)
-    if t is None:
-        t = ampliated_apply(r.A, h)
-    bounds = _certify(r.A, h, t)
+    t = ampliated_apply(r.A, h)
+    index = _index(r.A, h)
+    bounds = _certify(r.A, h, t, index)
     if bounds is not None:
-        return h, t, None, Evaluation(None, True, bounds[0], bounds[1], "certificate")
+        return h, t, index, None, Evaluation(None, True, bounds[0], bounds[1], "certificate")
     p = _identity_minus(_dense(t))
     del t
     smin, smax = singular_value_range(p)
-    return h, None, p, Evaluation(None, passes_invertibility(smin, smax), smin, smax, "svd")
+    verdict = Evaluation(None, passes_invertibility(smin, smax), smin, smax, "svd")
+    return h, None, None, p, verdict
 
 
 def _decided_pencil(r, x):
     """The dense pencil at X and the kernel's verdict on it, with T built once."""
-    _, t, p, verdict = _decide(r, x)
+    _, t, _, p, verdict = _decide(r, x)
     return (_identity_minus(_dense(t)) if p is None else p), verdict
 
 
@@ -476,10 +428,9 @@ def evaluate(r, x):
     value is None.  decided_by is "certificate" when sigma_min and sigma_max
     are the certified bounds, "svd" when they are the exact singular values.
     """
-    h, t, p, verdict = _decide(r, x)
+    h, t, index, p, verdict = _decide(r, x)
     if not verdict.in_domain:
         return verdict
-    index = None if t is None else _index(r.A, t)
     if index is None:   # the pencil replaces T before the LU copies it
         t = _identity_minus(t) if p is None else p
     return verdict._replace(value=_value(r, h, t, index))
@@ -493,7 +444,7 @@ def in_domain(r, x):
     always invertible, but it is not always well conditioned: [[1, t], [0, 1]]
     has sigma_min = 1 / sigma_max, and at t = 1e13 it lies outside the domain.
     """
-    return _decide(r, x)[3].in_domain
+    return _decide(r, x)[-1].in_domain
 
 
 def transfer(r, x):
@@ -538,7 +489,7 @@ def pole_order(r, x):
     Otherwise the size of the largest Jordan block of the eigenvalue 1,
     computed as the first k with rank((I - T)^k) = rank((I - T)^{k+1}).
     """
-    _, _, m, verdict = _decide(r, x)
+    _, _, _, m, verdict = _decide(r, x)
     return 0 if verdict.in_domain else _pole_order(m, verdict.sigma_max)
 
 

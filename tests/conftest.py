@@ -86,6 +86,21 @@ def point_near_centre(rng, y, m, eps):
     return ampliate(y, m) + unit_column_tuple(rng, y.base_n, m, y.d).scaled(eps)
 
 
+def block_graph_depth(h):
+    """The number of vertices on a longest path of the graph of the nonzero n x n
+    blocks of a level-m tuple H, or None when it has a cycle: the smallest k whose
+    k-th Boolean power of the graph vanishes, block by block."""
+    n, m = h.base_n, h.level_m
+    graph = np.array([[int(any(c[k * n:(k + 1) * n, l * n:(l + 1) * n].any()
+                               for c in h.components)) for l in range(m)] for k in range(m)])
+    power = np.eye(m, dtype=int)
+    for k in range(1, m + 1):
+        power = np.minimum(power @ graph, 1)
+        if not power.any():
+            return k
+    return None
+
+
 def word_sum_transfer(r, x, max_len):
     """Reference word-by-word evaluation of the truncated transfer series."""
     from ncreal.core import all_words

@@ -223,6 +223,19 @@ class TestFockCommand:
         assert "more than the cap of %d" % cap in captured.err
         assert not (workdir / "never.json").exists()
 
+    def test_repeated_term_refused_in_one_line(self, workdir, capsys):
+        TruncatedFockVector(2, 2, 1, {((1,), (1,), ()): 1.0}).dump(workdir / "h.json")
+        obj = json.loads((workdir / "h.json").read_text())
+        obj["terms"] = obj["terms"] * 2
+        (workdir / "h.json").write_text(json.dumps(obj))
+        code = main(["fock", str(workdir / "h.json"), str(workdir / "centre.json"),
+                     "--out", str(workdir / "never.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: fock vector.terms[0] and terms[1] repeat")
+        assert captured.err.count("\n") == 1
+        assert not (workdir / "never.json").exists()
+
     def test_huge_degree_refused_at_once(self, tmp_path, capsys):
         # n = d = 1: the dimension is L + 1, so the cap is passed at L = 10^12
         TruncatedFockVector(1, 1, 10 ** 12, {((1,), (1,), ()): 1.0}).dump(tmp_path / "h.json")
@@ -262,6 +275,15 @@ class TestDomainSample:
         MatrixTuple([np.array([[1.0]])], 1).dump(tmp_path / "p.json")
         code, out = run(capsys, "eval", tmp_path / "r.json", tmp_path / "p.json")
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_negative_count_refused_in_one_line(self, workdir, capsys, flag):
+        run(capsys, "realize", workdir / "poly.expr", workdir / "centre.json",
+            "--out", workdir / "p.json")
+        code = main(["domain-sample", str(workdir / "p.json"), flag, "-3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: %s must be finite and non-negative, got -3\n" % flag
 
     def test_one_pencil_per_sampled_point(self, workdir, capsys, monkeypatch):
         from ncreal import cli, realization

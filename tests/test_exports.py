@@ -1,0 +1,25 @@
+"""Every name in the ``__all__`` of an ncreal module resolves.
+
+A stale entry would otherwise surface only when a caller runs
+``from ncreal.<module> import *``.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import ncreal
+
+MODULES = ["ncreal"] + ["ncreal." + info.name for info in pkgutil.iter_modules(ncreal.__path__)]
+
+
+def test_every_module_is_listed():
+    assert {"ncreal.core", "ncreal.linmap", "ncreal.realization", "ncreal.fock"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert missing == [], "%s.__all__ names %s, which it does not define" % (module, missing)

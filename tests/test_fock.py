@@ -688,6 +688,13 @@ class TestSerialization:
         assert back.n == h.n and back.d == h.d and back.L == h.L
         assert back.coeffs == h.coeffs
 
+    def test_repeated_term_rejected(self):
+        h = TruncatedFockVector(2, 2, 1, {((1,), (1,), ()): 1.0, ((1,), (2,), ()): 2.0})
+        obj = h.to_json()
+        obj["terms"].append(dict(obj["terms"][0], c=[3.0, 0.0]))
+        with pytest.raises(ValueError, match=r"terms\[0\] and terms\[2\] repeat"):
+            TruncatedFockVector.from_json(obj)
+
     def test_invalid_index_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             TruncatedFockVector(2, 2, 1, {((1, 1), (1,), ()): 1.0})

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import conftest
 from conftest import (
+    block_graph_depth,
     cmat,
     point_near_centre,
     random_centre,
@@ -271,6 +272,33 @@ def lu_value(r, x):
         pencil(r, x), np.kron(np.eye(m), r.c))
 
 
+def csr_copy(r):
+    """r with every map stored as one CSR stack."""
+    def sparse(a):
+        return MatrixLinearMap(scipy.sparse.csr_matrix(a.stack), a.d, a.n)
+
+    if isinstance(r, FMRealization):
+        return FMRealization(sparse(r.A), sparse(r.B), r.C, r.D, r.Y)
+    return DescriptorRealization(sparse(r.A), r.b, r.c, r.Y)
+
+
+def record_factorizations(monkeypatch):
+    """The names of the SVDs, dense LUs and sparse LUs taken from now on."""
+    import scipy.sparse.linalg
+
+    calls = []
+
+    def recorded(module, name):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: calls.append(name) or inner(*a, **k))
+
+    for module, name in ((np.linalg, "svd"), (np.linalg._linalg, "svd"),
+                         (scipy.linalg, "lu_factor"), (scipy.sparse.linalg, "splu")):
+        recorded(module, name)
+    return calls
+
+
 def rational_realization(rng, kind):
     """A dense map with a cycle in its pattern: no nilpotency index."""
     from ncreal.algebra import fm_to_desc
@@ -291,8 +319,11 @@ class TestBlockNilpotentKernel:
         r = rational_realization(rng, kind)
         x = tree_probe(rng, r.Y, scale)
         h = x - ampliate(r.Y, x.level_m)
-        # the whole-T certificate cannot prove this point: it would take an SVD
-        assert realization._certify(r.A, h, ampliated_apply(r.A, h)) is None
+        # with the map's own index, None, the certificate cannot prove this point:
+        # only the block graph's depth makes it a finite sum
+        t = ampliated_apply(r.A, h)
+        assert realization._certify(r.A, h, t, r.A.nilpotency_index) is None
+        assert realization._index(r.A, h) == block_graph_depth(h) == 4
         exact = pencil_sigma(r, x)
         expected = lu_value(r, x)
 
@@ -314,22 +345,24 @@ class TestBlockNilpotentKernel:
     def test_diagonal_block_cycle_or_sparse_map_builds_t_whole(self, plant, sparse,
                                                                 monkeypatch):
         # (0, 0) and (3, 3) are nonzero diagonal blocks; (2, 1) closes the
-        # 2-cycle with the path edge 1 -> 2
+        # 2-cycle with the path edge 1 -> 2.  T is built whole for either
+        # storage, and only the unplanted block point is a finite sum.
         rng = np.random.default_rng(42)
         r = rational_realization(rng, "descriptor")
         if sparse:
-            r = DescriptorRealization(MatrixLinearMap(scipy.sparse.csr_matrix(r.A.stack),
-                                                      r.d, r.n), r.b, r.c, r.Y)
+            r = csr_copy(r)
         x = tree_probe(rng, r.Y, 3.0)
         if plant is not None:
             x = planted(rng, x, *plant)
         whole = []
         monkeypatch.setattr(realization, "ampliated_apply",
                             lambda a, h: whole.append(a) or ampliated_apply(a, h))
+        factorizations = record_factorizations(monkeypatch)
         e = evaluate(r, x)
         monkeypatch.undo()
-        finite_sum = plant is None and not sparse
-        assert whole == ([] if finite_sum else [r.A])
+        finite_sum = plant is None
+        assert whole == [r.A]
+        assert (factorizations == []) == finite_sum
         assert e.decided_by == ("certificate" if finite_sum else "svd")
         assert e.in_domain == passes_invertibility(*pencil_sigma(r, x))
         if e.in_domain:
@@ -369,7 +402,8 @@ class TestValueRule:
         fm = polynomial_fm(rng)
         x = point_near_centre(rng, fm.Y, m, 0.7)
         h = x - ampliate(fm.Y, m)
-        assert realization._block_nilpotent(fm.A, h) is None   # not a block point
+        assert block_graph_depth(h) is None   # not a block point
+        assert realization._index(fm.A, h) == fm.A.nilpotency_index
         expected = lu_value(fm, x)
 
         def refuse(*args, **kwargs):
@@ -414,7 +448,8 @@ class TestValueRule:
         # at level 2 the pencil has 16 entries; T = [[0, 30], [10, 0]] per block
         # lies outside the certificate
         x = MatrixTuple([30.0 * np.eye(2), 10.0 * np.eye(2)], 1)
-        assert realization._certify(r.A, x, ampliated_apply(r.A, x)) is None
+        assert realization._certify(r.A, x, ampliated_apply(r.A, x),
+                                    realization._index(r.A, x)) is None
 
         def refuse(*args, **kwargs):
             raise AssertionError("a dense SVD was taken past the cap")
@@ -425,6 +460,68 @@ class TestValueRule:
         for call in (evaluate, in_domain, pole_order, pencil, pencil_sigma):
             with pytest.raises(ValueError, match="16 entries, more than the cap of 15"):
                 call(r, x)
+
+
+def random_tree(rng, y, nodes, scale):
+    """A tree_point on ``nodes`` random edges: random letters, arguments and parents,
+    each among the two nodes before it, so that paths run deep."""
+    from ncreal.analysis import tree_point
+
+    parents = [int(rng.integers(max(i - 1, 0), i + 1)) for i in range(nodes)]
+    letters = [int(rng.integers(1, y.d + 1)) for _ in range(nodes)]
+    args = [cmat(rng, y.base_n, y.base_n) for _ in range(nodes)]
+    return tree_point(y, parents, letters, args, scale)
+
+
+def index_maps(kind):
+    """A dense map (cyclic or nilpotent) and its CSR copy, with the realization's centre."""
+    rng = np.random.default_rng(46)
+    r = rational_realization(rng, "descriptor") if kind == "cyclic" else polynomial_fm(rng)
+    return r.Y, [r.A, csr_copy(r).A]
+
+
+class TestIndexRule:
+    @pytest.mark.parametrize("kind", ["cyclic", "nilpotent"])
+    def test_random_trees_give_a_zero_power(self, kind):
+        y, maps = index_maps(kind)
+        rng = np.random.default_rng(47)
+        for _ in range(12):
+            x = random_tree(rng, y, int(rng.integers(1, 8)), float(rng.uniform(0.1, 5.0)))
+            h = x - ampliate(y, x.level_m)
+            depth = block_graph_depth(h)
+            for a in maps:
+                index = realization._index(a, h)
+                assert index == min(depth, a.nilpotency_index or depth)
+                t = ampliated_apply(a, h)
+                t = t.toarray() if scipy.sparse.issparse(t) else t
+                assert not np.linalg.matrix_power(t, index).any()
+
+    @pytest.mark.parametrize("kind", ["cyclic", "nilpotent"])
+    @pytest.mark.parametrize("plant", [(0, 0), (3, 3), (2, 1)])
+    def test_diagonal_block_or_cycle_falls_back_to_the_map_index(self, kind, plant):
+        # (0, 0) and (3, 3) are nonzero diagonal blocks; (2, 1) closes a 2-cycle
+        y, maps = index_maps(kind)
+        rng = np.random.default_rng(48)
+        x = tree_probe(rng, y, 1.0)
+        h = planted(rng, x, *plant) - ampliate(y, x.level_m)
+        assert block_graph_depth(h) is None
+        for a in maps:
+            assert realization._index(a, h) == a.nilpotency_index
+
+    @pytest.mark.parametrize("kind", ["fm", "descriptor"])
+    def test_sparse_map_at_a_tree_probe_is_a_finite_sum(self, kind, monkeypatch):
+        rng = np.random.default_rng(49)
+        r = rational_realization(rng, kind)
+        sparse = csr_copy(r)
+        x = tree_probe(rng, r.Y, 3.0)
+        expected = evaluate(r, x)
+        factorizations = record_factorizations(monkeypatch)
+        e = evaluate(sparse, x)
+        monkeypatch.undo()
+        assert factorizations == []
+        assert e.decided_by == expected.decided_by == "certificate"
+        assert np.linalg.norm(e.value - expected.value) <= 1e-12 * np.linalg.norm(
+            expected.value)
 
 
 class TestTransfer:
