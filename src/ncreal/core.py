@@ -19,6 +19,7 @@ from itertools import chain
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 
 __all__ = [
@@ -139,8 +140,11 @@ def invert_checked(m, what="matrix"):
 def solve_refined(m, rhs):
     """Solve m @ z = rhs by LU plus one refinement step.
 
-    A dense ``m`` takes LAPACK's LU with partial pivoting; a scipy sparse
-    ``m`` (CSC) takes SuperLU and stays sparse.
+    A dense ``m`` takes LAPACK's LU with partial pivoting through one
+    ``zgetrf`` and a ``zgetrs`` per solve, with none of the wrapper checks of
+    ``scipy.linalg.lu_factor``; an exactly zero pivot raises
+    :class:`SingularMatrixError`.  A scipy sparse ``m`` (CSC) takes SuperLU
+    and stays sparse.
     """
     if m.shape[0] == 0:
         return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
@@ -149,10 +153,13 @@ def solve_refined(m, rhs):
 
         solve = splu(m).solve
     else:
-        lu_piv = scipy.linalg.lu_factor(m, check_finite=False)
+        lu, piv, info = scipy.linalg.lapack.zgetrf(m)
+        if info > 0:
+            raise SingularMatrixError("matrix is exactly singular (zero pivot %d)" % info,
+                                      sigma_min=0.0)
 
         def solve(b):
-            return scipy.linalg.lu_solve(lu_piv, b, check_finite=False)
+            return scipy.linalg.lapack.zgetrs(lu, piv, b)[0]
     z = solve(rhs)
     resid = rhs - m @ z
     z += solve(resid)
@@ -376,14 +383,25 @@ def eye_kron(m, mat):
 
 
 def deviation_from_centre(x, y):
-    """X - I_m (x) Y as a matrix tuple at the level of X, built and validated once."""
+    """X - I_m (x) Y as a matrix tuple at the level of X.
+
+    X and Y are checked tuples, so the difference is not checked again, except
+    for the one new way to fail: an overflow to a non-finite entry.
+    """
     if x.base_n != y.base_n or x.d != y.d or y.level_m != 1:
         raise ValueError(
             "point and centre disagree: %s vs %s" % (x._shape_str(), y._shape_str())
         )
-    m = x.level_m
-    return MatrixTuple([xc - eye_kron(m, yc) for xc, yc in zip(x.components, y.components)],
-                       x.base_n)
+    m, n = x.level_m, x.base_n
+    diff = np.array(x.components)
+    diag = np.arange(m)
+    diff.reshape(x.d, m, n, m, n)[:, diag, :, diag, :] -= np.array(y.components)
+    if not np.isfinite(diff).all():
+        raise ValueError("X - I_m (x) Y overflows to non-finite entries")
+    diff.flags.writeable = False
+    h = MatrixTuple.__new__(MatrixTuple)
+    h.components, h.base_n, h.level_m = tuple(diff), n, m
+    return h
 
 
 def column_norm(x):

@@ -103,11 +103,37 @@ class MatrixLinearMap:
         enters (:func:`~ncreal.core.graph_depth`).  Computed on first use and kept;
         square-valued maps only.
         """
-        rows, cols = self.stack.nonzero()
-        pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows % self.out_rows, cols)),
-                                          shape=(self.out_rows, self.out_cols))
-        index = graph_depth(pattern)
+        index = graph_depth(self._union_pattern())
         return None if index is None else max(index, 1)
+
+    @cached_property
+    def strong_components(self):
+        """The states of each strongly connected component of P, sinks first.
+
+        P is the union pattern of :attr:`nilpotency_index`, with an edge r -> s
+        at every nonzero P[r, s].  A list of sorted index arrays: every edge
+        leaving a component ends in one listed before it, so in the states'
+        order by component, every sum_j (id_m (x) A_j)(H_j) is block lower
+        triangular at every level, one diagonal block per component.  Found in
+        O(nnz) by scipy's strong components, whose labels come sinks first; a
+        labelling that breaks that order gives one component of all states.
+        Computed on first use and kept; square-valued maps only.
+        """
+        from scipy.sparse.csgraph import connected_components  # only dense pencils need it
+
+        pattern = self._union_pattern()
+        count, labels = connected_components(pattern, connection="strong")
+        rows, cols = pattern.nonzero()
+        if not np.all(labels[cols] <= labels[rows]):
+            return [np.arange(self.out_rows)]
+        order = np.argsort(labels, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+    def _union_pattern(self):
+        """P as a CSR matrix with a nonzero wherever some unit A_j(E_pq) has one."""
+        rows, cols = self.stack.nonzero()
+        return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows % self.out_rows, cols)),
+                                       shape=(self.out_rows, self.out_cols))
 
     @classmethod
     def zeros(cls, d, n, rows, cols=None):
@@ -286,7 +312,10 @@ def _root_sum_norm(grams):
     """||sum_u G_u^{1/2}||_2 over a stack of Hermitian positive semidefinite G_u."""
     w, v = np.linalg.eigh(grams)
     roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
-    return float(np.linalg.norm(roots.sum(axis=0), 2)) if roots.size else 0.0
+    if not roots.size:
+        return 0.0
+    # the sum is Hermitian positive semidefinite: its norm is its top eigenvalue
+    return max(float(np.linalg.eigvalsh(roots.sum(axis=0))[-1]), 0.0)
 
 
 def cb_row_norm_bound(a):

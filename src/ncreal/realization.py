@@ -36,13 +36,31 @@ pencil I - T in this order:
    the exact test then passes too.  Otherwise one dense SVD gives the exact
    sigma_min and sigma_max, and the test is applied to them.
 
+For a dense map, :func:`in_domain` first tries the certificate of steps 3
+and 4 without T: q = cb_row_norm_bound(A) * column_norm(H), the paper's domain
+radius (the series converges where column_norm(H) < 1/||A||_cb), and K from
+H's block graph and A.nilpotency_index as in step 1.  That costs one mn x mn
+eigvalsh.  Step 2 takes the smaller of this q and the one-inf bound, so the
+kernel's certificate fires whenever this one does, and the verdicts agree;
+only when it fails does :func:`in_domain` run the kernel.
+
 The value rule: every value is C (or b*) applied to each block row of
 S = (I - T)^{-1} R, with R = B(H) and I_m (x) D added for an FM realization,
 and R = I_m (x) c for a descriptor one.  When the certificate fires and
 T^K = 0, S = sum_{k<K} T^k R exactly, taken Horner-style with K - 1
 products and no factorization.  Otherwise S is an LU solve of the pencil
-with one refinement step (SuperLU when a sparse T is certified with no K).
-:func:`series_transfer` is the same sum with K = terms + 1.
+M = I - T with one refinement step: SuperLU for a sparse T certified with
+no K, and for a dense map one LU per diagonal block.  With the states ordered
+by A.strong_components, sinks first, M is block lower triangular at every
+level and every H, because each block of T combines units and every unit
+lies on the union pattern.  Adjacent components merge into blocks of at
+least _BLOCK_ROWS rows, and S_i = M_ii^{-1} (R_i - M_i,<i S_<i) block by
+block; a map with one block takes one LU of the whole pencil.  This is safe
+wherever the test passed, by certificate or by SVD: for block triangular M,
+(M^{-1})_ii = M_ii^{-1}, so sigma_min(M_ii) >= sigma_min(M), while
+sigma_max(M_ii) <= sigma_max(M), and every diagonal block passes the test
+that the pencil passed.  :func:`series_transfer` is the finite sum with
+K = terms + 1.
 
 :func:`pencil`, :func:`pencil_sigma` and :func:`pole_order` stay exact; they
 are the only paths that take an SVD on purpose.  A dense copy of a sparse T
@@ -278,10 +296,14 @@ def _dense(t):
 
 
 def _identity_minus(t):
-    """I - t, sparse (CSC, ready for a sparse LU) when t is sparse."""
+    """I - t, sparse (CSC, ready for a sparse LU) when t is sparse; a dense t, which
+    every caller owns, becomes I - t in its own buffer."""
     if scipy.sparse.issparse(t):
         return (scipy.sparse.identity(t.shape[0], dtype=np.complex128) - t).tocsc()
-    return np.eye(t.shape[0], dtype=np.complex128) - t
+    real = t.view(np.float64)   # negated as reals: complex negation is not vectorized
+    np.negative(real, out=real)
+    t.reshape(-1)[::t.shape[0] + 1] += 1.0
+    return t
 
 
 def pencil(r, x):
@@ -382,9 +404,10 @@ def _decide(r, x):
 
     Returns (H, T, K, None, verdict) when the certificate fires, with K from
     :func:`_index`, and otherwise (H, None, None, the dense pencil, verdict)
-    after its SVD; the verdict is an :class:`Evaluation` without a value.  T
-    is dropped as soon as the pencil exists, so it never lives beside the copy
-    an SVD or LU makes.
+    after its SVD; the verdict is an :class:`Evaluation` without a value.  The
+    pencil of a dense T is formed in T's own buffer, and a sparse T is dropped
+    as soon as its dense pencil exists, so it never lives beside the copy an
+    SVD or LU makes.
     """
     h = deviation_from_centre(x, r.Y)
     t = ampliated_apply(r.A, h)
@@ -405,14 +428,56 @@ def _decided_pencil(r, x):
     return (_identity_minus(_dense(t)) if p is None else p), verdict
 
 
+# Adjacent strong components of a dense map merge into diagonal blocks of at
+# least this many pencil rows.  One LU of 32 rows costs about as much as one
+# block step (its gathers, its product and a small LU): 36 to 51 us each with
+# one BLAS thread.  Over eval-serve's pencils, minimums of 24 to 64 rows solved
+# within 5 % of each other; 96 rows or more took half as long again at m = 8.
+_BLOCK_ROWS = 32
+
+
+def _pencil_blocks(a, m):
+    """The rows of the diagonal blocks of the level-m pencil of the dense map ``a``,
+    in the order of a.strong_components: index arrays, or one slice for one block."""
+    groups, filled = [], _BLOCK_ROWS   # rows in the open block
+    for states in a.strong_components:
+        if filled >= _BLOCK_ROWS:   # the open block is full: start the next
+            groups.append([])
+            filled = 0
+        groups[-1].append(states)
+        filled += m * len(states)
+    if filled < _BLOCK_ROWS and len(groups) > 1:   # a short last block joins the one before
+        short = groups.pop()
+        groups[-1] += short
+    if len(groups) == 1:
+        return [slice(None)]
+    # row k N + r of the pencil is state r of diagonal block k
+    return [(np.arange(m)[:, None] * a.out_rows + np.concatenate(g)).ravel() for g in groups]
+
+
+def _block_solve(p, rhs, blocks):
+    """S = p^{-1} rhs for the block lower triangular pencil p, one refined LU per
+    diagonal block, from the first block on: S_i = p_ii^{-1} (R_i - p_i,<i S_<i)."""
+    s = np.empty_like(rhs)
+    for i, rows in enumerate(blocks):
+        block_rows, b = p[rows], rhs[rows]
+        if i:   # the rows of every block solved so far
+            done = np.concatenate(blocks[:i])
+            b = b - block_rows[:, done] @ s[done]
+        s[rows] = solve_refined(block_rows[:, rows], b)
+    return s
+
+
 def _value(r, h, op, index):
     """The value at H from S = (I - T)^{-1} R by the module's value rule: ``op`` is T
     and S = sum_{k<index} T^k R when T^index = 0, else ``op`` is the pencil I - T
-    and S its refined LU solve."""
+    and S its refined LU solve, block by block for a dense map."""
     m, n, fm = h.level_m, r.n, isinstance(r, FMRealization)
     rhs = _dense(ampliated_apply(r.B, h)) if fm else eye_kron(m, r.c)
-    if index is None:
+    if index is None and r.A.is_sparse:
         s = solve_refined(op, rhs)
+    elif index is None:
+        s = _block_solve(op, rhs, _pencil_blocks(r.A, m))
     else:
         s = rhs
         for _ in range(index - 1):
@@ -431,19 +496,25 @@ def evaluate(r, x):
     h, t, index, p, verdict = _decide(r, x)
     if not verdict.in_domain:
         return verdict
-    if index is None:   # the pencil replaces T before the LU copies it
+    if index is None:   # the pencil I - T, in T's own buffer when T is dense
         t = _identity_minus(t) if p is None else p
     return verdict._replace(value=_value(r, h, t, index))
 
 
 def in_domain(r, x):
     """Whether the pencil I - T at X passes the invertibility test, decided as the
-    module docstring describes: by the certificate or by one SVD, to one verdict.
+    module docstring describes: for a dense map by the cb radius without T, else
+    by the kernel's certificate or one SVD, to the verdict of :func:`evaluate`.
 
     A unipotent pencil, such as that of a truncated Fock realization, is
     always invertible, but it is not always well conditioned: [[1, t], [0, 1]]
     has sigma_min = 1 / sigma_max, and at t = 1e13 it lies outside the domain.
     """
+    if not r.A.is_sparse:
+        h = deviation_from_centre(x, r.Y)
+        q = _cb_col_bound(r.A, h) * (1.0 + _BOUND_PAD)
+        if passes_invertibility(*_singular_value_bounds(q, _index(r.A, h))):
+            return True
     return _decide(r, x)[-1].in_domain
 
 

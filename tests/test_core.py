@@ -15,8 +15,10 @@ from ncreal.core import (
     apply_similarity,
     column_norm,
     decode_complex,
+    deviation_from_centre,
     direct_sum,
     encode_complex,
+    solve_refined,
     word_transpose,
 )
 
@@ -214,6 +216,22 @@ def test_side_zero_rejected():
 def test_nonfinite_entries_rejected():
     with pytest.raises(ValueError, match="finite"):
         MatrixTuple([np.array([[np.nan]])], 1)
+
+
+def test_deviation_that_overflows_is_refused():
+    # X and Y are finite, X - I_2 (x) Y is not
+    y = CentrePoint([np.array([[-1e308]]), np.zeros((1, 1))])
+    x = MatrixTuple([np.diag([1e308, 0.0]), np.zeros((2, 2))], 1)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        deviation_from_centre(x, y)
+    h = deviation_from_centre(x.scaled(0.5), y)
+    assert np.array_equal(h.components[0], np.diag([1.5e308, 1e308]))
+    assert not h.components[0].flags.writeable
+
+
+def test_exactly_singular_solve_raises():
+    with pytest.raises(SingularMatrixError, match="exactly singular"):
+        solve_refined(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
 
 
 def test_transposed_components_accepted():

@@ -5,7 +5,10 @@ A stale entry would otherwise surface only when a caller runs
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +26,14 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert missing == [], "%s.__all__ names %s, which it does not define" % (module, missing)
+
+
+def test_import_loads_no_sparse_solver_or_graph_module():
+    # both are imported where a sparse pencil or a component analysis needs them,
+    # so that importing ncreal stays cheap
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ncreal.__file__)))
+    out = subprocess.run([sys.executable, "-c", "import sys, ncreal; print(sorted(m for m in "
+                          "sys.modules if m.startswith(('scipy.sparse.csgraph', "
+                          "'scipy.sparse.linalg'))))"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -318,6 +318,75 @@ class TestNilpotencyIndex:
         assert a.__dict__["nilpotency_index"] is None
 
 
+def reachability(pattern):
+    """Oracle: R[i, j] is True when a path of length >= 0 leads from i to j in the
+    graph with an edge i -> j at every True pattern[i, j], by Boolean squaring."""
+    reach = pattern | np.eye(len(pattern), dtype=bool)
+    for _ in range(len(pattern).bit_length()):
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    return reach
+
+
+def planted_pattern(rng, size):
+    """A random graph with several cycles, some self-loops, some vertices on no
+    cycle, and acyclic edges between all of them, under a random vertex order."""
+    pattern = np.triu(rng.random((size, size)) < 0.3, 1)
+    for _ in range(int(rng.integers(1, 4))):   # a cycle through a few vertices
+        ring = rng.choice(size, int(rng.integers(2, max(3, size // 2))), replace=False)
+        pattern[ring, np.roll(ring, 1)] = True
+    loops = rng.random(size) < 0.3
+    pattern[loops, loops] = True
+    order = rng.permutation(size)
+    return pattern[np.ix_(order, order)]
+
+
+def coeffs_on(rng, pattern, d, n):
+    """A (d, n, n, N, N) tensor whose units share out the edges of ``pattern``."""
+    size = len(pattern)
+    owner = rng.integers(0, d * n * n, size=(size, size))
+    coeffs = np.zeros((d * n * n, size, size), dtype=np.complex128)
+    rows, cols = np.nonzero(pattern)
+    coeffs[owner[rows, cols], rows, cols] = cmat(rng, 1, len(rows))[0]
+    return coeffs.reshape(d, n, n, size, size)
+
+
+class TestStrongComponents:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_reachability_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 16))
+        pattern = planted_pattern(rng, size)
+        coeffs = coeffs_on(rng, pattern, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        reach = reachability(pattern)
+        mutual = reach & reach.T
+        for a in (MatrixLinearMap(coeffs), as_sparse_map(coeffs)):
+            components = a.strong_components
+            position = np.empty(size, dtype=int)
+            for k, states in enumerate(components):
+                assert np.array_equal(states, np.sort(states))
+                position[states] = k
+            assert sorted(np.concatenate(components).tolist()) == list(range(size))
+            # the oracle's components: states reached both ways
+            for states in components:
+                assert np.array_equal(np.flatnonzero(mutual[states[0]]), states)
+            # sinks first: whatever a state reaches is listed no later
+            rows, cols = np.nonzero(reach)
+            assert np.all(position[cols] <= position[rows])
+
+    def test_one_cycle_is_one_component(self):
+        size = 6
+        pattern = np.roll(np.eye(size, dtype=bool), 1, axis=1)   # 0 -> 1 -> ... -> 5 -> 0
+        a = MatrixLinearMap(coeffs_on(np.random.default_rng(1), pattern, 2, 1))
+        assert len(a.strong_components) == 1
+        assert np.array_equal(a.strong_components[0], np.arange(size))
+
+    def test_acyclic_map_has_one_component_per_state(self):
+        pattern = np.triu(np.ones((5, 5), dtype=bool), 1)   # every edge i -> j with i < j
+        a = MatrixLinearMap(coeffs_on(np.random.default_rng(2), pattern, 1, 2))
+        assert [states.tolist() for states in a.strong_components] == [[4], [3], [2], [1], [0]]
+        assert a.__dict__["strong_components"] is a.strong_components
+
+
 def overlapping_coeffs(rng, d, n, size, nilpotent):
     """Random units, each on most of one shared pattern, so that they overlap; the
     pattern is strictly upper triangular when ``nilpotent``."""

@@ -228,18 +228,21 @@ class TestEvaluationKernel:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_decide_builds_the_deviation_once(self, m, monkeypatch):
-        # H = X - I_m (x) Y is one validated tuple, entry for entry the tuple
-        # difference
+        # H = X - I_m (x) Y is built once, entry for entry the tuple difference
         rng = np.random.default_rng(33)
         r = random_descriptor(rng, 2, 4, 2, scale=0.5)
         x = point_near_centre(rng, r.Y, m, 0.1)
         expected = x - ampliate(r.Y, m)
-        built = []
+        built, calls = [], []
         init = MatrixTuple.__init__
         monkeypatch.setattr(MatrixTuple, "__init__",
                             lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        deviation = realization.deviation_from_centre
+        monkeypatch.setattr(realization, "deviation_from_centre",
+                            lambda *a: calls.append(1) or deviation(*a))
         h = realization._decide(r, x)[0]
-        assert len(built) == 1
+        # one difference, not checked again as a new tuple
+        assert len(calls) == 1 and built == []
         for got, want in zip(h.components, expected.components):
             assert np.array_equal(got, want)
 
@@ -294,7 +297,7 @@ def record_factorizations(monkeypatch):
                             lambda *a, **k: calls.append(name) or inner(*a, **k))
 
     for module, name in ((np.linalg, "svd"), (np.linalg._linalg, "svd"),
-                         (scipy.linalg, "lu_factor"), (scipy.sparse.linalg, "splu")):
+                         (scipy.linalg.lapack, "zgetrf"), (scipy.sparse.linalg, "splu")):
         recorded(module, name)
     return calls
 
@@ -332,7 +335,7 @@ class TestBlockNilpotentKernel:
 
         for module in (np.linalg, np.linalg._linalg):
             monkeypatch.setattr(module, "svd", refuse)
-        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", refuse)
         e = evaluate(r, x)
         monkeypatch.undo()
         assert e.decided_by == "certificate"
@@ -409,7 +412,7 @@ class TestValueRule:
         def refuse(*args, **kwargs):
             raise AssertionError("an LU factorization was taken")
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", refuse)
         e = evaluate(fm, x)
         monkeypatch.undo()
         assert e.decided_by == "certificate" and e.in_domain
@@ -460,6 +463,137 @@ class TestValueRule:
         for call in (evaluate, in_domain, pole_order, pencil, pencil_sigma):
             with pytest.raises(ValueError, match="16 entries, more than the cap of 15"):
                 call(r, x)
+
+
+def multi_component_fm(rng, n):
+    """A dense FM map whose union pattern has several strong components, one of
+    them larger than a state."""
+    from ncreal.parser import parse, realize_expression
+
+    fm = realize_expression(parse("x1*inv(x2*x1 + 4)*x2 + inv(x1 + 3)*x2*x1 - x2*x2*x1*x1 "
+                                  "+ inv(inv(x2 + 3)*x1 + 5)", 2), random_centre(rng, n, 2))
+    sizes = [len(states) for states in fm.A.strong_components]
+    assert not fm.A.is_sparse and len(sizes) > 3 and max(sizes) > 1
+    return fm
+
+
+def merged_block_states(a, m):
+    """Oracle for the merge rule: adjacent components, in order, joined until a block
+    holds at least _BLOCK_ROWS pencil rows, a short last block joined to the one
+    before.  The state count of each block."""
+    blocks = []
+    for states in a.strong_components:
+        if not blocks or m * blocks[-1] >= realization._BLOCK_ROWS:
+            blocks.append(0)
+        blocks[-1] += len(states)
+    if len(blocks) > 1 and m * blocks[-1] < realization._BLOCK_ROWS:
+        last = blocks.pop()
+        blocks[-1] += last
+    return blocks
+
+
+def record_lu_sizes(monkeypatch):
+    """The orders of the dense LUs taken from now on."""
+    sizes, getrf = [], scipy.linalg.lapack.zgetrf
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf",
+                        lambda a, *r, **k: sizes.append(len(a)) or getrf(a, *r, **k))
+    return sizes
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 8), (2, 2), (2, 8)])
+    def test_no_lu_exceeds_a_merged_block(self, n, m, monkeypatch):
+        rng = np.random.default_rng(50)
+        fm = multi_component_fm(rng, n)
+        x = point_near_centre(rng, fm.Y, m, 0.5 / fm.A.cb_bound)
+        expected = lu_value(fm, x)
+        blocks = merged_block_states(fm.A, m)
+        sizes = record_lu_sizes(monkeypatch)
+        e = evaluate(fm, x)
+        monkeypatch.undo()
+        assert e.decided_by == "certificate"
+        assert sizes == [m * b for b in blocks] and sum(sizes) == m * fm.N
+        assert max(sizes) <= m * max(blocks)
+        assert len(sizes) > 1 or m * fm.N < 2 * realization._BLOCK_ROWS
+        assert np.linalg.norm(e.value - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_one_component_takes_one_lu(self, m, monkeypatch):
+        rng = np.random.default_rng(51)
+        r = rational_realization(rng, "descriptor")
+        assert len(r.A.strong_components) == 1
+        x = point_near_centre(rng, r.Y, m, 0.5 / r.A.cb_bound)
+        expected = lu_value(r, x)
+        sizes = record_lu_sizes(monkeypatch)
+        e = evaluate(r, x)
+        monkeypatch.undo()
+        assert sizes == [m * r.N]
+        assert np.linalg.norm(e.value - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_svd_decided_point_is_solved_by_blocks(self, monkeypatch):
+        # a point past the certificate but inside the domain: the SVD decides, and
+        # every diagonal block is invertible since sigma_min(M_ii) >= sigma_min(M)
+        rng = np.random.default_rng(52)
+        fm = multi_component_fm(rng, 1)
+        h = unit_column_tuple(rng, 1, 8, 2)
+        for scale in np.geomspace(1.0, 50.0, 40) / fm.A.cb_bound:
+            x = ampliate(fm.Y, 8) + h.scaled(scale)
+            if evaluate(fm, x)[1:] == (True, *pencil_sigma(fm, x), "svd"):
+                break
+        else:
+            raise AssertionError("no point between the certificate and the domain's edge")
+        expected = lu_value(fm, x)
+        sizes = record_lu_sizes(monkeypatch)
+        e = evaluate(fm, x)
+        monkeypatch.undo()
+        assert e.decided_by == "svd" and e.in_domain and len(sizes) > 1
+        assert np.linalg.norm(e.value - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+class TestDomainFromTheCbRadius:
+    @pytest.mark.parametrize("kind", ["fm", "descriptor"])
+    def test_certified_in_domain_builds_no_t(self, kind, monkeypatch):
+        rng = np.random.default_rng(53)
+        r = rational_realization(rng, kind)
+        x = point_near_centre(rng, r.Y, 4, 0.9 / r.A.cb_bound)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("T was built")
+
+        monkeypatch.setattr(realization, "ampliated_apply", refuse)
+        monkeypatch.setattr(realization, "_decide", refuse)
+        assert in_domain(r, x)
+        monkeypatch.undo()
+        assert evaluate(r, x).in_domain
+
+    def test_verdict_equals_evaluate_inside_and_outside_the_ball(self, monkeypatch):
+        # points from the centre to well past the cb ball, on dense and sparse
+        # maps: the cb step decides some, the kernel the rest, to one verdict
+        rng = np.random.default_rng(54)
+        fm = multi_component_fm(rng, 2)
+        maps = [fm, fm_to_desc_minimized(fm), csr_copy(fm), scalar_realization()]
+        decide, fallbacks = realization._decide, []
+        monkeypatch.setattr(realization, "_decide",
+                            lambda r, x: fallbacks.append(1) or decide(r, x))
+        verdicts = []
+        for r in maps:
+            for m in (1, 3):
+                h = unit_column_tuple(rng, r.n, m, r.d)
+                for radius in (0.0, 0.5, 0.99, 1.5, 4.0, 40.0, 4000.0):
+                    x = ampliate(r.Y, m) + h.scaled(radius / r.A.cb_bound)
+                    e = evaluate(r, x)
+                    assert in_domain(r, x) == e.in_domain
+                    assert e.in_domain == passes_invertibility(*pencil_sigma(r, x))
+                    verdicts.append((e.decided_by, e.in_domain))
+        assert {("certificate", True), ("svd", True), ("svd", False)} <= set(verdicts)
+        assert 0 < len(fallbacks) - len(verdicts) < len(verdicts)
+
+
+def fm_to_desc_minimized(fm):
+    from ncreal.algebra import fm_to_desc
+    from ncreal.analysis import kalman_minimize
+
+    return kalman_minimize(fm_to_desc(fm))
 
 
 def random_tree(rng, y, nodes, scale):
