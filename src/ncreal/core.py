@@ -86,6 +86,34 @@ def _as_complex(a, name="matrix"):
     return arr
 
 
+def _stacked(components):
+    """The components of a matrix tuple as one new (d, side, side) complex array.
+
+    Checked at once: finite, square and of one shape.  On a fault, the check of
+    each component in turn names the first bad one.
+    """
+    if not isinstance(components, np.ndarray):
+        components = list(components)
+    try:
+        array = np.array(components, dtype=np.complex128)
+    except (TypeError, ValueError):   # ragged, or an entry that is not a number
+        array = None
+    if array is not None and array.ndim == 3 and len(array) and array.shape[1] == array.shape[2]:
+        finite = np.isfinite(array).all(axis=(1, 2))
+        if finite.all():
+            return array
+        raise ValueError("component %d contains non-finite entries" % (np.argmin(finite) + 1))
+    comps = [_as_complex(c, "component %d" % (j + 1)) for j, c in enumerate(components)]
+    if not comps:
+        raise ValueError("a matrix tuple needs at least one component")
+    side = comps[0].shape[0]
+    for j, c in enumerate(comps):
+        if c.shape != (side, side):
+            raise ValueError("components disagree in shape: component 1 is %s, component %d "
+                             "is %s" % (comps[0].shape, j + 1, c.shape))
+    return np.array(comps)
+
+
 def singular_value_range(m):
     """Smallest and largest singular value of ``m``; (inf, 0) when it is empty."""
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -175,16 +203,16 @@ def graph_depth(pattern):
     tolerance enters.  At depth K, every product of K matrices whose nonzero
     entries lie on the graph's edges is zero.
     """
+    pattern = pattern.astype(np.float64)   # once, not in every round's product
     alive = np.ones(pattern.shape[0])   # 1.0 on the vertices not yet peeled
     left, depth = pattern.shape[0], 0
     while left:
-        sinks = (pattern @ alive == 0) * alive
-        peeled = np.count_nonzero(sinks)
-        if not peeled:
+        # a vertex stays while it has an edge to one that stayed: the sinks drop out
+        np.greater(pattern @ alive, 0.0, out=alive)
+        kept = np.count_nonzero(alive)
+        if kept == left:
             return None   # each vertex left has an out-edge among them: a cycle
-        alive -= sinks
-        left -= peeled
-        depth += 1
+        left, depth = kept, depth + 1
     return depth
 
 
@@ -221,31 +249,37 @@ def word_transpose(word):
 class MatrixTuple:
     """A level-m point of the matrix universe over centre size n.
 
+    The components are stored as one read-only (d, side, side) complex array,
+    ``array``, checked once on construction; ``components`` is the tuple of its
+    d views, so a kernel reads all of them without stacking them again.
+
     Parameters
     ----------
-    components : sequence of array_like
-        d square complex matrices, all of side ``base_n * level_m``.
+    components : sequence of array_like, or array_like of shape (d, side, side)
+        d square complex matrices, all of side ``base_n * level_m``; copied.
     base_n : int
         Centre size n; the side of each component must be a multiple of it.
     """
 
     def __init__(self, components, base_n):
-        comps = [_as_complex(c, "component %d" % (j + 1)) for j, c in enumerate(components)]
-        if not comps:
-            raise ValueError("a matrix tuple needs at least one component")
-        side = comps[0].shape[0]
-        for j, c in enumerate(comps):
-            if c.shape != (side, side):
-                raise ValueError(
-                    "components disagree in shape: component 1 is %s, component %d is %s"
-                    % (comps[0].shape, j + 1, c.shape)
-                )
+        self._store(_stacked(components), base_n)
+
+    @classmethod
+    def _of(cls, array, base_n):
+        """The tuple stored in ``array``, a checked (d, side, side) complex array that
+        the caller gives up: it is made read-only, not copied."""
+        x = cls.__new__(cls)
+        x._store(array, base_n)
+        return x
+
+    def _store(self, array, base_n):
+        side = array.shape[1]
         if base_n < 1 or side < 1 or side % base_n != 0:
             raise ValueError("component side %d is not a positive multiple of centre size %d"
                              % (side, base_n))
-        for c in comps:
-            c.flags.writeable = False
-        self.components = tuple(comps)
+        array.flags.writeable = False
+        self.array = array
+        self.components = tuple(array)
         self.base_n = int(base_n)
         self.level_m = side // base_n
 
@@ -267,33 +301,26 @@ class MatrixTuple:
         return self.components[j - 1][k * n:(k + 1) * n, l * n:(l + 1) * n]
 
     def __sub__(self, other):
-        if not isinstance(other, MatrixTuple):
-            return NotImplemented
-        if other.d != self.d or other.side != self.side:
-            raise ValueError(
-                "tuple shapes differ: %s vs %s" % (self._shape_str(), other._shape_str())
-            )
-        return MatrixTuple(
-            [a - b for a, b in zip(self.components, other.components)], self.base_n
-        )
+        return self._entrywise(np.subtract, other)
 
     def __add__(self, other):
+        return self._entrywise(np.add, other)
+
+    def _entrywise(self, op, other):
         if not isinstance(other, MatrixTuple):
             return NotImplemented
         if other.d != self.d or other.side != self.side:
             raise ValueError(
                 "tuple shapes differ: %s vs %s" % (self._shape_str(), other._shape_str())
             )
-        return MatrixTuple(
-            [a + b for a, b in zip(self.components, other.components)], self.base_n
-        )
+        return MatrixTuple(op(self.array, other.array), self.base_n)
 
     def scaled(self, t):
-        return MatrixTuple([t * c for c in self.components], self.base_n)
+        return MatrixTuple(t * self.array, self.base_n)
 
     def rebased(self, base_n):
-        """The same matrices read over a different centre size."""
-        return MatrixTuple(self.components, base_n)
+        """The same matrices read over a different centre size, sharing their array."""
+        return MatrixTuple._of(self.array, base_n)
 
     def _shape_str(self):
         return "(d=%d, n=%d, m=%d)" % (self.d, self.base_n, self.level_m)
@@ -393,20 +420,17 @@ def deviation_from_centre(x, y):
             "point and centre disagree: %s vs %s" % (x._shape_str(), y._shape_str())
         )
     m, n = x.level_m, x.base_n
-    diff = np.array(x.components)
+    diff = x.array.copy()
     diag = np.arange(m)
-    diff.reshape(x.d, m, n, m, n)[:, diag, :, diag, :] -= np.array(y.components)
+    diff.reshape(x.d, m, n, m, n)[:, diag, :, diag, :] -= y.array
     if not np.isfinite(diff).all():
         raise ValueError("X - I_m (x) Y overflows to non-finite entries")
-    diff.flags.writeable = False
-    h = MatrixTuple.__new__(MatrixTuple)
-    h.components, h.base_n, h.level_m = tuple(diff), n, m
-    return h
+    return MatrixTuple._of(diff, n)
 
 
 def column_norm(x):
     """Largest singular value of the vertical stack of the components."""
-    return float(np.linalg.norm(np.vstack(x.components), 2))
+    return float(np.linalg.norm(x.array.reshape(-1, x.side), 2))
 
 
 def apply_similarity(s, x):

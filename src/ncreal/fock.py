@@ -10,7 +10,10 @@ rather than approximate.
 The basis is laid out in degree blocks, l = 0..L.  Block l holds positions
 offset_l + arange(d^l n^{2(l+1)}) as an array with one axis per letter, of
 shape (d,)*l + (n,)*(l+1) + (n,)*(l+1): omega, then alpha, then beta.  Every
-operator reads its targets off these arrays (``_positions``).
+operator reads its targets off these arrays (``_positions``).  The basis
+indices themselves, in the same order, are built once per (n, d, L) too and
+kept as a tuple (``_basis``): a vector read off a dense array names only its
+nonzero positions through it.
 
 Operators are returned as scipy.sparse matrices: the dimension grows like
 n^{2(l+1)} d^l and dense storage dies quickly.
@@ -72,11 +75,17 @@ def _positions(n, d, L):
     return tuple(pos)
 
 
+@lru_cache(maxsize=8)
+def _basis(n, d, L):
+    """The basis indices of :func:`fock_basis`, as a tuple shared by every caller."""
+    return tuple(FockBasisIndex(w[ell:2 * ell + 1], w[2 * ell + 1:], w[:ell])
+                 for ell, block in enumerate(_positions(n, d, L))
+                 for w in itertools.product(*(range(1, size + 1) for size in block.shape)))
+
+
 def fock_basis(n, d, L):
     """All basis indices with |omega| <= L, ordered by degree then lexicographically."""
-    return [FockBasisIndex(w[ell:2 * ell + 1], w[2 * ell + 1:], w[:ell])
-            for ell, block in enumerate(_positions(n, d, L))
-            for w in itertools.product(*(range(1, size + 1) for size in block.shape))]
+    return list(_basis(n, d, L))
 
 
 def basis_position(n, d, L):
@@ -164,11 +173,18 @@ class TruncatedFockVector:
                          if len(k.omega) == ell))
 
     def to_dense(self):
+        """The coefficients as one vector in the basis order: the keys of each degree
+        are read off its ``_positions`` block, and one scatter per degree writes their
+        values."""
         pos = _positions(self.n, self.d, self.L)
+        letters, values = [[] for _ in pos], [[] for _ in pos]
+        for (alpha, beta, omega), val in self.coeffs.items():
+            letters[len(omega)].append(omega + alpha + beta)
+            values[len(omega)].append(val)
         vec = np.zeros(fock_dim(self.n, self.d, self.L), dtype=np.complex128)
-        for idx, val in self.coeffs.items():
-            letters = tuple(k - 1 for k in idx.omega + idx.alpha + idx.beta)
-            vec[pos[len(idx.omega)][letters]] = val
+        for block, keys, vals in zip(pos, letters, values):
+            if keys:
+                vec[block[tuple(np.array(keys).T - 1)]] = vals
         return vec
 
     def scaled_by_degree(self, r):
@@ -327,8 +343,11 @@ def fock_realization(h, y, scale=1.0):
                        "the Fock realization at (n, d, L) = (%d, %d, %d)" % (n, d, L))
     a = _fock_map(n, d, L, float(scale))
     dim = fock_dim(n, d, L)
+    vec = h.to_dense()
+    for ell in range(L + 1):   # the dilation h_scale: degree l times scale^l
+        vec[fock_dim(n, d, ell - 1):fock_dim(n, d, ell)] *= scale ** ell
     # np.kron, not eye_kron: the signs of its zeros reach the saved file's bytes
-    c = np.kron(np.eye(n), h.scaled_by_degree(scale).to_dense()[:, None])
+    c = np.kron(np.eye(n), vec[:, None])
     # b*(e_j (x) vacuum_{i,j}) = e_i, where vacuum[i - 1, j - 1] is E_ij * e_0
     vacuum = _positions(n, d, L)[0]
     i, j = np.indices((n, n))
@@ -428,8 +447,11 @@ def coeffs_from_nc_function(func, y, L, r=1.0):
         block = block.reshape((d, n, n) * ell + (n, n)) / r ** ell
         vec.append(block.transpose([*range(0, 3 * ell, 3), 3 * ell, *range(2, 3 * ell, 3),
                                     *range(1, 3 * ell, 3), 3 * ell + 1]).ravel())
-    # the keys come from fock_basis, valid by construction: no per-key check
+    vec = np.concatenate(vec)
+    nonzero = np.flatnonzero(vec)
+    # the keys come from the basis, valid by construction: no per-key check
     h = TruncatedFockVector(n, d, L)
-    h.coeffs = {idx: complex(val) for idx, val in zip(fock_basis(n, d, L), np.concatenate(vec))
-                if val != 0}
+    if len(nonzero):
+        h.coeffs = dict(zip(map(_basis(n, d, L).__getitem__, nonzero.tolist()),
+                            vec[nonzero].tolist()))
     return h

@@ -17,7 +17,7 @@ The stack is the one home of the unit-wise products: ``images(V)`` = [A(1) V |
 A(2) V | ...] is one ``stack @ V``; ``adjoint()``, the units A(u)*, is a
 transposed copy or a re-index of the CSR triplets; ``compressed(L, R)`` is one
 ``stack @ R`` and one batched ``L @``; :func:`cb_row_norm_bound` is one
-batched eigendecomposition of each unit Gram stack.
+batched SVD of the units.
 
 The level-m ampliation sum_j (id_m (x) A_j)(X_j), from which every pencil
 and every FM input is built, is T = sum_u X_u (x) A(u), where X_u is the
@@ -255,10 +255,16 @@ def ampliated_apply(a, x):
             "tuple over centre size %d with %d components does not match map (n=%d, d=%d)"
             % (x.base_n, x.d, a.n, a.d)
         )
-    m, n = x.level_m, a.n
-    # rows (k, l), columns (j, p, q): entry X_j^{(k,l)}[p, q]
-    blocks = np.stack(x.components).reshape(a.d, m, n, m, n).transpose(1, 3, 0, 2, 4)
-    return _ampliate(a, blocks.reshape(m * m, a.d * n * n), m)
+    return _ampliate(a, _unit_coefficients(x), x.level_m)
+
+
+def _unit_coefficients(x):
+    """The (m m) x (d n n) matrix of entries X_u[k, l] of the tuple X: row (k, l),
+    column u = (j, p, q) holds X_j^{(k,l)}[p, q]: one reordered copy of X's array,
+    a read-only view of it at m = 1."""
+    d, n, m = x.d, x.base_n, x.level_m
+    blocks = x.array.reshape(d, m, n, m, n).transpose(1, 3, 0, 2, 4)
+    return blocks.reshape(m * m, d * n * n)
 
 
 def _ampliate(a, coeffs, m):
@@ -308,14 +314,9 @@ def adjoint_word_apply(a, word, args):
     return prod
 
 
-def _root_sum_norm(grams):
-    """||sum_u G_u^{1/2}||_2 over a stack of Hermitian positive semidefinite G_u."""
-    w, v = np.linalg.eigh(grams)
-    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
-    if not roots.size:
-        return 0.0
-    # the sum is Hermitian positive semidefinite: its norm is its top eigenvalue
-    return max(float(np.linalg.eigvalsh(roots.sum(axis=0))[-1]), 0.0)
+def _top_eigenvalue(psd):
+    """The norm of a Hermitian positive semidefinite matrix: its top eigenvalue."""
+    return max(float(np.linalg.eigvalsh(psd)[-1]), 0.0)
 
 
 def cb_row_norm_bound(a):
@@ -329,8 +330,19 @@ def cb_row_norm_bound(a):
 
     over the coefficients B = A_j(E_pq).  Whenever a level-m tuple H has
     column norm below 1/r, the ampliated image sum_j (id_m (x) A_j)(H_j) has
-    operator norm (hence spectral radius) below 1.  Needs ``dense()``, within the cap.
+    operator norm (hence spectral radius) below 1.  Both roots come from one
+    batched SVD of the units, B = U S V*: (B B*)^{1/2} = U S U* and
+    (B* B)^{1/2} = V S V*, so each sum is one product of the side-by-side
+    singular vectors, and no square root of a Gram matrix's roundoff enters.
+    Needs ``dense()``, within the cap.
     """
     units = a.dense().reshape(a.units, a.out_rows, a.out_cols)
-    adjoints = np.conj(units).transpose(0, 2, 1)
-    return float(np.sqrt(_root_sum_norm(units @ adjoints) * _root_sum_norm(adjoints @ units)))
+    if not units.size:
+        return 0.0
+    u, s, vh = np.linalg.svd(units, full_matrices=False)
+    # column u k + i of each side is the i-th singular vector of unit u
+    left = u.transpose(1, 0, 2).reshape(a.out_rows, -1)
+    right = np.conj(vh).transpose(2, 0, 1).reshape(a.out_cols, -1)
+    s = s.ravel()
+    return float(np.sqrt(_top_eigenvalue((left * s) @ np.conj(left).T)
+                         * _top_eigenvalue((right * s) @ np.conj(right).T)))

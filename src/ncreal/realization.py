@@ -19,14 +19,16 @@ T = sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j) once and decides the
 invertibility test sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max) on the
 pencil I - T in this order:
 
-1. T = ampliated_apply(A, H) with H = X - I_m (x) Y, dense for a dense map
-   and CSR for a sparse one, and K with T^K = 0 or None.  A.nilpotency_index,
-   read once per map off the union of its units' sparsity patterns, holds at
-   every point.  Block (k, l) of T only combines the entries of the (k, l)
-   blocks of H, so where H's graph of nonzero n x n blocks is acyclic,
-   T^{K_H} = 0 exactly too, with K_H the graph's depth (a longest path plus
-   one, :func:`~ncreal.core.graph_depth`), and K is the smaller of the two.
-   A nonzero first diagonal block ends this scan in O(d n^2).
+1. The coefficient matrix of H = X - I_m (x) Y, whose row (k, l) holds the
+   entries X_u[k, l] of H's (k, l) block, formed once per point; three things
+   read it.  T = sum_u X_u (x) A(u), dense for a dense map and CSR for a
+   sparse one; R = B(H) for an FM realization (see the value rule); and K
+   with T^K = 0 or None.  A.nilpotency_index, read once per map off the union
+   of its units' sparsity patterns, holds at every point.  Block (k, l) of T
+   only combines row (k, l), so where the graph of nonzero rows (H's nonzero
+   n x n blocks) is acyclic, T^{K_H} = 0 exactly too, with K_H the graph's
+   depth (a longest path plus one, :func:`~ncreal.core.graph_depth`), and K
+   is the smaller of the two.  A nonzero first row ends this scan in O(d n^2).
 2. An upper bound q >= ||T||_2, padded for roundoff: the smaller of
    sqrt(||T||_1 ||T||_inf), which costs O(nnz), and, for a dense map only,
    cb_row_norm_bound(A) * column_norm(H), the paper's domain radius.
@@ -89,7 +91,8 @@ from .core import (
     solve_refined,
     write_json,
 )
-from .linmap import MatrixLinearMap, ampliated_apply, word_apply
+from .linmap import (MatrixLinearMap, _ampliate, _top_eigenvalue, _unit_coefficients,
+                     ampliated_apply, word_apply)
 
 __all__ = [
     "DescriptorRealization",
@@ -350,11 +353,11 @@ def _one_inf_bound(t):
 def _cb_col_bound(a, h):
     """cb_row_norm_bound(A) * column_norm(H) >= ||sum_j (id_m (x) A_j)(H_j)||_2.
 
-    column_norm(H)^2 is the top eigenvalue of sum_j H_j* H_j; no SVD is taken.
+    column_norm(H)^2 is the top eigenvalue of sum_j H_j* H_j, one product of the
+    stacked components; no SVD is taken.
     """
-    gram = sum(np.conj(c).T @ c for c in h.components)
-    col = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    return a.cb_bound * col
+    stacked = h.array.reshape(-1, h.side)
+    return a.cb_bound * math.sqrt(_top_eigenvalue(np.conj(stacked).T @ stacked))
 
 
 def _singular_value_bounds(q, index):
@@ -370,18 +373,20 @@ def _singular_value_bounds(q, index):
     return 1.0 / total, 1.0 + q
 
 
-def _index(a, h):
-    """K with T^K = 0 for T = sum_j (id_m (x) A_j)(H_j), or None.
+def _index(a, coeffs, m):
+    """K with T^K = 0 for T = sum_u X_u (x) A(u), or None, from the (m m) x (d n n)
+    coefficient matrix ``coeffs`` of H (entries X_u[k, l], row (k, l)).
 
-    Block (k, l) of T combines only the (k, l) blocks of H, so T^K = 0 with K
-    the depth of the graph of H's nonzero n x n blocks when it is acyclic, for
-    every storage of A.  K is the smaller of that depth and A.nilpotency_index.
-    A nonzero first diagonal block, a loop, ends the scan in O(d n^2).
+    Block (k, l) of T combines only row (k, l), so T^K = 0 with K the depth of
+    the graph with an edge k -> l at every nonzero row (H's nonzero n x n
+    blocks) when it is acyclic, for every storage of A.  K is the smaller of
+    that depth and A.nilpotency_index.  A nonzero first row, a loop, ends the
+    scan in O(d n^2).
     """
-    index, n, m = a.nilpotency_index, h.base_n, h.level_m
-    if any(c[:n, :n].any() for c in h.components):
+    index = a.nilpotency_index
+    if coeffs[0].any():
         return index   # the common case
-    depth = graph_depth(np.stack(h.components).reshape(h.d, m, n, m, n).any(axis=(0, 2, 4)))
+    depth = graph_depth(coeffs.any(axis=1).reshape(m, m))
     if depth is None:   # a cycle, a nonzero diagonal block included
         return index
     return depth if index is None else min(depth, index)
@@ -402,29 +407,31 @@ def _certify(a, h, t, index):
 def _decide(r, x):
     """Build T at X once and decide the invertibility test on I - T.
 
-    Returns (H, T, K, None, verdict) when the certificate fires, with K from
-    :func:`_index`, and otherwise (H, None, None, the dense pencil, verdict)
-    after its SVD; the verdict is an :class:`Evaluation` without a value.  The
-    pencil of a dense T is formed in T's own buffer, and a sparse T is dropped
-    as soon as its dense pencil exists, so it never lives beside the copy an
-    SVD or LU makes.
+    Returns (H, X, T, K, None, verdict) when the certificate fires, with X the
+    coefficient matrix of H and K from :func:`_index`, and otherwise (H, X,
+    None, None, the dense pencil, verdict) after its SVD; the verdict is an
+    :class:`Evaluation` without a value.  The pencil of a dense T is formed in
+    T's own buffer, and a sparse T is dropped as soon as its dense pencil
+    exists, so it never lives beside the copy an SVD or LU makes.
     """
     h = deviation_from_centre(x, r.Y)
-    t = ampliated_apply(r.A, h)
-    index = _index(r.A, h)
+    coeffs = _unit_coefficients(h)
+    t = _ampliate(r.A, coeffs, h.level_m)
+    index = _index(r.A, coeffs, h.level_m)
     bounds = _certify(r.A, h, t, index)
     if bounds is not None:
-        return h, t, index, None, Evaluation(None, True, bounds[0], bounds[1], "certificate")
+        verdict = Evaluation(None, True, bounds[0], bounds[1], "certificate")
+        return h, coeffs, t, index, None, verdict
     p = _identity_minus(_dense(t))
     del t
     smin, smax = singular_value_range(p)
     verdict = Evaluation(None, passes_invertibility(smin, smax), smin, smax, "svd")
-    return h, None, None, p, verdict
+    return h, coeffs, None, None, p, verdict
 
 
 def _decided_pencil(r, x):
     """The dense pencil at X and the kernel's verdict on it, with T built once."""
-    _, t, _, p, verdict = _decide(r, x)
+    _, _, t, _, p, verdict = _decide(r, x)
     return (_identity_minus(_dense(t)) if p is None else p), verdict
 
 
@@ -468,12 +475,13 @@ def _block_solve(p, rhs, blocks):
     return s
 
 
-def _value(r, h, op, index):
-    """The value at H from S = (I - T)^{-1} R by the module's value rule: ``op`` is T
-    and S = sum_{k<index} T^k R when T^index = 0, else ``op`` is the pencil I - T
-    and S its refined LU solve, block by block for a dense map."""
-    m, n, fm = h.level_m, r.n, isinstance(r, FMRealization)
-    rhs = _dense(ampliated_apply(r.B, h)) if fm else eye_kron(m, r.c)
+def _value(r, coeffs, m, op, index):
+    """The value at the level-m point whose deviation H has the coefficient matrix
+    ``coeffs``, from S = (I - T)^{-1} R by the module's value rule: ``op`` is T and
+    S = sum_{k<index} T^k R when T^index = 0, else ``op`` is the pencil I - T and S
+    its refined LU solve, block by block for a dense map."""
+    n, fm = r.n, isinstance(r, FMRealization)
+    rhs = _dense(_ampliate(r.B, coeffs, m)) if fm else eye_kron(m, r.c)
     if index is None and r.A.is_sparse:
         s = solve_refined(op, rhs)
     elif index is None:
@@ -493,12 +501,12 @@ def evaluate(r, x):
     value is None.  decided_by is "certificate" when sigma_min and sigma_max
     are the certified bounds, "svd" when they are the exact singular values.
     """
-    h, t, index, p, verdict = _decide(r, x)
+    h, coeffs, t, index, p, verdict = _decide(r, x)
     if not verdict.in_domain:
         return verdict
     if index is None:   # the pencil I - T, in T's own buffer when T is dense
         t = _identity_minus(t) if p is None else p
-    return verdict._replace(value=_value(r, h, t, index))
+    return verdict._replace(value=_value(r, coeffs, h.level_m, t, index))
 
 
 def in_domain(r, x):
@@ -513,7 +521,8 @@ def in_domain(r, x):
     if not r.A.is_sparse:
         h = deviation_from_centre(x, r.Y)
         q = _cb_col_bound(r.A, h) * (1.0 + _BOUND_PAD)
-        if passes_invertibility(*_singular_value_bounds(q, _index(r.A, h))):
+        index = _index(r.A, _unit_coefficients(h), h.level_m)
+        if passes_invertibility(*_singular_value_bounds(q, index)):
             return True
     return _decide(r, x)[-1].in_domain
 
@@ -550,7 +559,8 @@ def series_transfer(r, x, terms):
     < 1/||A||_cb, and it is exact once terms + 1 reaches A.nilpotency_index.
     """
     h = deviation_from_centre(x, r.Y)
-    return _value(r, h, ampliated_apply(r.A, h), terms + 1)
+    coeffs = _unit_coefficients(h)
+    return _value(r, coeffs, h.level_m, _ampliate(r.A, coeffs, h.level_m), terms + 1)
 
 
 def pole_order(r, x):
@@ -560,7 +570,7 @@ def pole_order(r, x):
     Otherwise the size of the largest Jordan block of the eigenvalue 1,
     computed as the first k with rank((I - T)^k) = rank((I - T)^{k+1}).
     """
-    _, _, _, m, verdict = _decide(r, x)
+    _, _, _, _, m, verdict = _decide(r, x)
     return 0 if verdict.in_domain else _pole_order(m, verdict.sigma_max)
 
 

@@ -474,6 +474,29 @@ class TestNilpotentPoints:
         with pytest.raises(ValueError, match="r must be finite and positive"):
             tree_point(y, [0], [1], [g], r=float("nan"))
 
+    @pytest.mark.parametrize("form", ["list", "array"])
+    def test_edge_faults_name_the_first_bad_node(self, form):
+        # the edges are checked at once; a fault is named as the per-node check would
+        y = random_centre(np.random.default_rng(26), 2, 2)
+        g = np.eye(2)
+        wrap = list if form == "list" else np.array
+        # a bad parent or letter is printed as its %r: 3, or np.int64(3) off an array
+        with pytest.raises(ValueError, match=r"^node 3 needs a parent among nodes 0..2, got "
+                                             r"(3|np\.int64\(3\))$"):
+            tree_point(y, wrap([0, 1, 3, 0]), wrap([1, 2, 1, 9]), wrap([g] * 4))
+        with pytest.raises(ValueError, match=r"^letter (0|np\.int64\(0\)) of node 2 is not "
+                                             r"in 1..2$"):
+            tree_point(y, wrap([0, 1, 1]), wrap([2, 0, 5]), wrap([g] * 3))
+        with pytest.raises(ValueError, match="^argument 1 must be 2 x 2$"):
+            tree_point(y, wrap([0, 0]), wrap([1, 2]), wrap([np.ones((2, 3))] * 2))
+        # ragged arguments: no array can hold them
+        with pytest.raises(ValueError, match="^argument 3 must be 2 x 2$"):
+            tree_point(y, [0, 0, 1], [1, 2, 1], [g, g, np.eye(3)])
+        with pytest.raises(ValueError, match="^node 2 needs a parent among nodes 0..1, got 5$"):
+            tree_point(y, [0, 5, 1], [1, 2, 1], [g, np.eye(3), g])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            tree_point(y, [0], [1], [np.array([[np.inf, 0], [0, 1]])])
+
     def test_empty_word_is_centre(self):
         rng = np.random.default_rng(19)
         y = random_centre(rng, 2, 2)

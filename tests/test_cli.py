@@ -205,6 +205,28 @@ class TestFockCommand:
         r = load_realization(workdir / "hreal.json")
         assert r.N == 72
 
+    @pytest.mark.parametrize("n,d,L", [(2, 2, 1), (1, 2, 3), (2, 1, 2), (1, 1, 0)])
+    def test_file_bytes_equal_the_dilated_dense_path(self, tmp_path, capsys, n, d, L):
+        # the file written with c read off the dict in one scatter is the file written
+        # with c = scaled_by_degree(1).to_dense(), byte for byte
+        from ncreal.fock import fock_basis, fock_realization
+        from ncreal.realization import DescriptorRealization
+
+        rng = np.random.default_rng([n, d, L, 3])
+        random_centre(rng, n, d).dump(tmp_path / "centre.json")
+        TruncatedFockVector(n, d, L, {
+            idx: complex(*rng.standard_normal(2)) for idx in fock_basis(n, d, L)
+            if rng.uniform() < 0.6}).dump(tmp_path / "h.json")
+        code, _ = run(capsys, "fock", tmp_path / "h.json", tmp_path / "centre.json",
+                      "--out", tmp_path / "got.json")
+        h = TruncatedFockVector.load(tmp_path / "h.json")
+        y = CentrePoint.load(tmp_path / "centre.json")
+        r = fock_realization(h, y)
+        c = np.kron(np.eye(n), h.scaled_by_degree(1.0).to_dense()[:, None])
+        save_realization(DescriptorRealization(r.A, r.b, c, y), tmp_path / "want.json")
+        assert code == 0
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
     @pytest.mark.parametrize("cap,refused", [(575, "the Fock realization"),
                                              (41471, "a dense copy of the 72 x 72 map")])
     def test_refused_above_the_cap_in_one_line(self, workdir, capsys, monkeypatch, cap,
@@ -425,12 +447,14 @@ class TestSingleSweepAndSvd:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+                            lambda a, *rest, **k: calls.append(np.ndim(a)) or svd(a, *rest, **k))
         code, out = run(capsys, "eval", tmp_path / "r.json", tmp_path / "p.json")
         report = json.loads(out)
         assert code == 3 and report["sigma_min"] < 1e-12
         assert report["decided_by"] == "svd" and report["sigma_min"] <= report["allowed"]
-        assert len(calls) == 1  # the certificate cannot fire; its SVD gives the sigma
+        # the certificate cannot fire; its SVD gives the sigma.  The other SVD is the
+        # batched one of the map's units behind its cb bound, read once per map
+        assert sorted(calls) == [2, 3]
 
     def test_minimize_past_the_sweep_budget_builds_no_ladder(self, workdir, capsys,
                                                              monkeypatch):

@@ -243,6 +243,57 @@ def test_transposed_components_accepted():
         MatrixTuple([np.array([[1.0, np.inf], [0.0, 1.0]]).T], 1)
 
 
+class TestOneArray:
+    """A tuple keeps its components in one read-only array, checked once."""
+
+    def test_list_and_stacked_inputs_give_equal_tuples(self):
+        rng = np.random.default_rng(71)
+        comps = [cmat(rng, 4, 4) for _ in range(3)]
+        from_list, from_stack = MatrixTuple(comps, 2), MatrixTuple(np.stack(comps), 2)
+        for x in (from_list, from_stack):
+            assert (x.d, x.base_n, x.level_m) == (3, 2, 2)
+            assert x.array.shape == (3, 4, 4) and x.array.dtype == np.complex128
+            assert np.array_equal(x.array, np.stack(comps))
+        for a, b, c in zip(from_list.components, from_stack.components, comps):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_components_are_read_only_views_of_one_array(self):
+        rng = np.random.default_rng(72)
+        stacked = np.stack([cmat(rng, 2, 2) for _ in range(2)])
+        for x in (MatrixTuple(list(stacked), 1), MatrixTuple(stacked, 1), CentrePoint(stacked),
+                  MatrixTuple(stacked, 1).rebased(2), MatrixTuple(stacked, 1).scaled(2.0)):
+            assert not x.array.flags.writeable
+            assert not np.shares_memory(x.array, stacked)   # the caller's array is copied
+            for j, c in enumerate(x.components):
+                assert np.shares_memory(c, x.array) and not c.flags.writeable
+                assert np.array_equal(c, x.array[j])
+        with pytest.raises(ValueError, match="read-only"):
+            MatrixTuple(stacked, 1).components[0][0, 0] = 1.0
+
+    def test_faults_keep_the_per_component_messages(self):
+        good = np.eye(2)
+        bad = np.eye(2)
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="^component 2 contains non-finite entries$"):
+            MatrixTuple([good, bad, good], 1)
+        with pytest.raises(ValueError, match="^component 2 contains non-finite entries$"):
+            MatrixTuple(np.stack([good, bad, good]), 1)
+        with pytest.raises(ValueError, match=r"^components disagree in shape: component 1 is "
+                                             r"\(2, 2\), component 2 is \(3, 3\)$"):
+            MatrixTuple([good, np.eye(3)], 1)
+        with pytest.raises(ValueError, match=r"^components disagree in shape: component 1 is "
+                                             r"\(2, 3\), component 1 is \(2, 3\)$"):
+            MatrixTuple([np.ones((2, 3)), np.ones((2, 3))], 1)
+        with pytest.raises(ValueError, match=r"^component 2 must be two-dimensional, got "
+                                             r"shape \(2,\)$"):
+            MatrixTuple([good, np.ones(2)], 1)
+        with pytest.raises(ValueError, match="^a matrix tuple needs at least one component$"):
+            MatrixTuple([], 1)
+        with pytest.raises(ValueError, match="^component side 2 is not a positive multiple "
+                                             "of centre size 3$"):
+            MatrixTuple([good], 3)
+
+
 class TestComplexCodec:
     def test_round_trip_is_exact(self):
         a = np.array([[0.1 - 2j, complex(-0.0, 1e-300)], [3, 5e300j]])

@@ -1,0 +1,136 @@
+"""The file boundary: a mutated realization or point file ends in exit 2.
+
+Valid files from ``ncreal realize`` and ``ncreal minimize`` are mutated one
+site at a time: a dropped key, a value of the wrong JSON type, a list one
+entry too short or too long, a NaN or infinite number, a huge dimension.
+Each mutated file goes through ``eval``, ``equiv``, ``minimize`` and
+``certify``; every run must exit 2 with one line on standard error and no
+traceback.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncreal.cli import main
+from ncreal.core import CentrePoint, MatrixTuple
+
+HUGE = [10 ** 9, 2 ** 40, 10 ** 18, 2 ** 63]
+WRONG_TYPE = {
+    int: ["2", None, [2], {"v": 2}, 2.5, True],
+    float: ["1.0", None, [1.0], {"re": 1.0}],
+    str: [1, None, ["fm"], {"kind": "fm"}],
+    list: ["x", None, 3, {"a": 1}],
+}
+
+
+def cli(*argv):
+    """Exit code, standard output and standard error of ``ncreal <argv>`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Valid FM and descriptor realization files, a point file, and a scratch path."""
+    root = tmp_path_factory.mktemp("boundary")
+    rng = np.random.default_rng(8)
+    e12, e21 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    CentrePoint([e12, e21]).dump(root / "centre.json")
+    (root / "poly.expr").write_text("x1*x2 + x2\n")
+    MatrixTuple([c + 0.05 * rng.standard_normal((4, 4)) for c in
+                 (np.kron(np.eye(2), e12), np.kron(np.eye(2), e21))], 2).dump(root / "point.json")
+    realized = cli("realize", root / "poly.expr", root / "centre.json", "--out", root / "fm.json")
+    assert realized[0] == 0
+    assert cli("minimize", root / "fm.json", "--out", root / "desc.json")[0] == 0
+    valid = {name: json.loads((root / (name + ".json")).read_text())
+             for name in ("fm", "desc", "point")}
+    return root, valid
+
+
+def sites(obj, path=()):
+    """Every (path, value) below the root of a JSON object."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from sites(value, path + (key,))
+
+
+@st.composite
+def mutations(draw, obj):
+    """A copy of ``obj`` with one site made invalid, and a description of the change."""
+    kind = draw(st.sampled_from(["drop", "type", "shape", "nonfinite", "huge"]))
+    every = list(sites(obj))
+    candidates = {
+        # M may be left out of a map whose values are square
+        "drop": [p for p, _ in every if isinstance(p[-1], str) and p[-1] != "M"],
+        "type": [p for p, v in every if type(v) in WRONG_TYPE],
+        "shape": [p for p, v in every if isinstance(v, list) and v],
+        "nonfinite": [p for p, v in every if type(v) in (int, float)],
+        "huge": [p for p, v in every if type(v) is int],
+    }[kind]
+    path = draw(st.sampled_from(candidates))
+    out = copy.deepcopy(obj)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "type":
+        parent[path[-1]] = draw(st.sampled_from(WRONG_TYPE[type(value)]))
+    elif kind == "shape":
+        if draw(st.booleans()):
+            value.pop()
+        else:
+            value.append(copy.deepcopy(value[-1]))
+    elif kind == "nonfinite":
+        parent[path[-1]] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(HUGE))
+    return out, "%s at %s" % (kind, "/".join(map(str, path)))
+
+
+def assert_refused(code, out, err, what):
+    assert code == 2 and out == "", what
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), what
+    assert "Traceback" not in err, what
+
+
+@pytest.mark.parametrize("form", ["fm", "desc"])
+@pytest.mark.parametrize("command", ["eval", "equiv", "minimize", "certify"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_realization_exits_two(files, form, command, data):
+    root, valid = files
+    bad, what = data.draw(mutations(valid[form]))
+    (root / "bad.json").write_text(json.dumps(bad))
+    argv = {
+        "eval": ["eval", root / "bad.json", root / "point.json"],
+        "equiv": ["equiv", root / "fm.json", root / "bad.json"],
+        "minimize": ["minimize", root / "bad.json", "--out", root / "never.json"],
+        "certify": ["certify", root / "bad.json"],
+    }[command]
+    assert_refused(*cli(*argv), what)
+    assert not (root / "never.json").exists()
+
+
+@pytest.mark.parametrize("form", ["fm", "desc"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_point_exits_two(files, form, data):
+    root, valid = files
+    bad, what = data.draw(mutations(valid["point"]))
+    (root / "bad.json").write_text(json.dumps(bad))
+    assert_refused(*cli("eval", root / (form + ".json"), root / "bad.json"), what)

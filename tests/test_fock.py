@@ -241,6 +241,25 @@ class TestLiteralLayout:
                                for idx in basis], dtype=np.complex128)
             assert np.array_equal(r.c, np.kron(np.eye(n), scaled[:, None]))
 
+    @pytest.mark.parametrize("n,d,L", FOCK_GRID)
+    def test_c_is_the_dilated_dense_vector_to_the_bit(self, n, d, L):
+        # c equals the scaled_by_degree(...).to_dense() construction, signed zeros
+        # included, since they reach a saved file's bytes
+        rng = np.random.default_rng(n * 100 + d * 10 + L + 2)
+        y = random_centre(rng, n, d)
+        h = random_fock_vector(rng, n, d, L, density=0.5)
+        for idx, v in zip(fock_basis(n, d, L)[:3], (complex(-0.0, 1.5), complex(2.0, -0.0),
+                                                    complex(-0.0, -0.5))):
+            h.coeffs[idx] = v
+        for scale in (1.0, 2.0, 0.3):
+            r = fock_realization(h, y, scale)
+            c = np.kron(np.eye(n), h.scaled_by_degree(scale).to_dense()[:, None])
+            assert np.array_equal(r.c, c) and r.c.tobytes() == c.tobytes()
+            bstar = np.zeros((n, n * fock_dim(n, d, L)))
+            for i, j in itertools.product(range(n), range(n)):
+                bstar[i, j * fock_dim(n, d, L) + i * n + j] = 1.0   # E_ij * e_0
+            assert np.array_equal(r.b, bstar.T)
+
     def test_no_kronecker_product_or_tuple_enumeration(self, monkeypatch):
         import scipy.sparse
 
@@ -582,6 +601,66 @@ class TestCoeffsFromNcFunction:
         h = coeffs_from_nc_function(lambda x: levels.append(x.level_m) or func(x), y, 0)
         assert levels == [1]
         assert np.array_equal(h.to_dense(), func(ampliate(y, 1)).ravel())
+
+    @pytest.mark.parametrize("n, d, L", FOCK_GRID)
+    @pytest.mark.parametrize("kind", ["polynomial", "constant"])
+    def test_dict_holds_exactly_the_nonzero_probe_entries(self, kind, n, d, L):
+        # keys in basis order, each value the Python complex of its entry, zeros dropped
+        rng = np.random.default_rng([n, d, L, 5])
+        y, func = black_box(kind, rng, n, d)
+        h = coeffs_from_nc_function(func, y, L)
+        dense = h.to_dense()
+        expected = {idx: complex(v) for idx, v in zip(literal_basis(n, d, L), dense) if v != 0}
+        assert list(h.coeffs.items()) == list(expected.items())
+        assert all(type(v) is complex for v in h.coeffs.values())
+        if kind == "constant":   # every entry past degree 0 is an exact zero
+            f0 = func(ampliate(y, 1))
+            assert h.coeffs == {FockBasisIndex((a + 1,), (b + 1,), ()): f0[a, b]
+                                for a, b in zip(*np.nonzero(f0))}
+        else:
+            assert np.count_nonzero(dense) == len(h.coeffs) > (n * n if L else 0)
+
+    def test_transfer_at_a_sibling_probe_stacks_nothing(self, monkeypatch):
+        # one black-box call: the probe's tuple and H are stored once, and H's
+        # coefficient matrix is formed once for T, for B(H) and for the index
+        from ncreal import realization
+        from ncreal.analysis import tree_point
+
+        rng = np.random.default_rng(83)
+        n, d = 2, 2
+        y = random_centre(rng, n, d)
+        fm = realize_expression(parse(BLACK_BOX_TEXTS[d][0], d), y)
+        letters, p, q = (axis.ravel() for axis in np.indices((d, n, n)))
+        units = core.matrix_units(n)[p, q]
+        stacks, coefficient_matrices = [], []
+        stack, unit_coefficients = np.stack, realization._unit_coefficients
+        monkeypatch.setattr(np, "stack", lambda *a, **k: stacks.append(1) or stack(*a, **k))
+        monkeypatch.setattr(realization, "_unit_coefficients",
+                            lambda h: coefficient_matrices.append(h) or unit_coefficients(h))
+        x = tree_point(y, [0] + [1] * len(units), np.r_[1, letters + 1], [units[0], *units])
+        e = evaluate(fm, x)
+        monkeypatch.undo()
+        assert stacks == [] and len(coefficient_matrices) == 1
+        assert e.decided_by == "certificate"
+        assert_allclose(e.value, transfer(fm, x), rtol=0, atol=0)
+
+    def test_basis_built_once_per_key_and_not_for_a_zero_function(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        n, d, L = 2, 2, 2
+        y, func = black_box("polynomial", rng, n, d)
+        built = []
+        monkeypatch.setattr(fock, "FockBasisIndex",
+                            lambda *key: built.append(key) or FockBasisIndex(*key))
+        fock._basis.cache_clear()
+        try:
+            zero = coeffs_from_nc_function(lambda x: np.zeros((x.side, x.side)), y, L)
+            assert zero.coeffs == {} and built == []
+            first = coeffs_from_nc_function(func, y, L)
+            assert len(built) == fock_dim(n, d, L)
+            assert coeffs_from_nc_function(func, y, L).coeffs == first.coeffs
+            assert len(built) == fock_dim(n, d, L)
+        finally:
+            fock._basis.cache_clear()
 
     def test_bad_black_box_values_name_the_probe_word(self):
         rng = np.random.default_rng(17)

@@ -247,6 +247,35 @@ class TestCbRowNormBound:
             assert in_domain(r, x)
 
 
+    def test_matches_a_high_precision_oracle(self):
+        # sparse units are rank deficient: square roots of the Gram matrices B B* and
+        # B* B would take the roots of their roundoff, about 1e-8 of the bound
+        rng = np.random.default_rng(19)
+        for _ in range(16):
+            d, n, rows = (int(k) for k in rng.integers(1, [3, 3, 4]))
+            cols = int(rng.choice([rows, n]))
+            coeffs = cmat(rng, d * n * n * rows, cols).reshape(d, n, n, rows, cols)
+            a = MatrixLinearMap(coeffs * (rng.uniform(size=coeffs.shape) < 0.3))
+            expected = mp_cb_bound(a)
+            assert abs(cb_row_norm_bound(a) - expected) <= 1e-13 * expected
+
+
+def mp_cb_bound(a):
+    """The cb row-norm bound from mpmath SVDs of each unit, B = U S V, at 40 digits:
+    (B B*)^{1/2} = U S U* and (B* B)^{1/2} = V* S V."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        left, right = mpmath.zeros(a.out_rows), mpmath.zeros(a.out_cols)
+        for unit in a.dense().reshape(-1, a.out_rows, a.out_cols):
+            u, s, v = mpmath.svd_c(mpmath.matrix(unit.tolist()))
+            for i in range(len(s)):
+                left += s[i] * (u[:, i] * u[:, i].H)
+                right += s[i] * (v[i, :].H * v[i, :])
+        top = [max(mpmath.svd_c(g, compute_uv=False)) for g in (left, right)]
+        return float(mpmath.sqrt(top[0] * top[1]))
+
+
 def union_pattern_index(coeffs):
     """Oracle: the smallest K >= 1 with P^K = 0, by boolean matrix powers of the union
     P of the units' patterns, or None when no power up to N + 1 vanishes."""
@@ -468,18 +497,19 @@ class TestStack:
 
 
 def literal_cb_bound(a):
-    """The cb row-norm bound summed one unit at a time, each square root by its own eigh."""
-    def psd_sqrt(h):
-        w, v = np.linalg.eigh(h)
-        return (v * np.sqrt(np.clip(w, 0.0, None))) @ np.conj(v).T
-
+    """The cb row-norm bound summed one unit at a time, each pair of square roots from the
+    unit's own SVD B = U S V*: (B B*)^{1/2} = U S U* and (B* B)^{1/2} = V S V*.  (Roots
+    of the Gram matrices B B* and B* B by eigh read up to 5e-10 high on these maps,
+    against mp_cb_bound.)"""
     left = np.zeros((a.out_rows, a.out_rows), dtype=np.complex128)
     right = np.zeros((a.out_cols, a.out_cols), dtype=np.complex128)
     units = a.dense()
     for j, p, q in unit_keys(a):
-        u = units[j - 1, p, q]
-        left += psd_sqrt(u @ np.conj(u).T)
-        right += psd_sqrt(np.conj(u).T @ u)
+        if not units.size:
+            continue
+        u, s, vh = np.linalg.svd(units[j - 1, p, q], full_matrices=False)
+        left += (u * s) @ np.conj(u).T
+        right += (np.conj(vh).T * s) @ vh
     norms = [np.linalg.norm(g, 2) if g.size else 0.0 for g in (left, right)]
     return float(np.sqrt(norms[0] * norms[1]))
 

@@ -29,7 +29,7 @@ from ncreal.core import (
     direct_sum,
     passes_invertibility,
 )
-from ncreal.linmap import MatrixLinearMap, ampliated_apply, cb_row_norm_bound
+from ncreal.linmap import MatrixLinearMap, _unit_coefficients, ampliated_apply, cb_row_norm_bound
 from ncreal.realization import (
     DescriptorRealization,
     FMRealization,
@@ -247,6 +247,11 @@ class TestEvaluationKernel:
             assert np.array_equal(got, want)
 
 
+def index_at(a, h):
+    """The kernel's K at the deviation H, read off H's coefficient matrix."""
+    return realization._index(a, _unit_coefficients(h), h.level_m)
+
+
 def tree_probe(rng, y, scale):
     """A block-nilpotent point: the path 0 - 1 - 2 with two children below node 2."""
     from ncreal.analysis import tree_point
@@ -326,7 +331,7 @@ class TestBlockNilpotentKernel:
         # only the block graph's depth makes it a finite sum
         t = ampliated_apply(r.A, h)
         assert realization._certify(r.A, h, t, r.A.nilpotency_index) is None
-        assert realization._index(r.A, h) == block_graph_depth(h) == 4
+        assert index_at(r.A, h) == block_graph_depth(h) == 4
         exact = pencil_sigma(r, x)
         expected = lu_value(r, x)
 
@@ -357,9 +362,9 @@ class TestBlockNilpotentKernel:
         x = tree_probe(rng, r.Y, 3.0)
         if plant is not None:
             x = planted(rng, x, *plant)
-        whole = []
-        monkeypatch.setattr(realization, "ampliated_apply",
-                            lambda a, h: whole.append(a) or ampliated_apply(a, h))
+        whole, ampliate = [], realization._ampliate
+        monkeypatch.setattr(realization, "_ampliate",
+                            lambda a, *rest: whole.append(a) or ampliate(a, *rest))
         factorizations = record_factorizations(monkeypatch)
         e = evaluate(r, x)
         monkeypatch.undo()
@@ -406,7 +411,7 @@ class TestValueRule:
         x = point_near_centre(rng, fm.Y, m, 0.7)
         h = x - ampliate(fm.Y, m)
         assert block_graph_depth(h) is None   # not a block point
-        assert realization._index(fm.A, h) == fm.A.nilpotency_index
+        assert index_at(fm.A, h) == fm.A.nilpotency_index
         expected = lu_value(fm, x)
 
         def refuse(*args, **kwargs):
@@ -452,7 +457,7 @@ class TestValueRule:
         # lies outside the certificate
         x = MatrixTuple([30.0 * np.eye(2), 10.0 * np.eye(2)], 1)
         assert realization._certify(r.A, x, ampliated_apply(r.A, x),
-                                    realization._index(r.A, x)) is None
+                                    index_at(r.A, x)) is None
 
         def refuse(*args, **kwargs):
             raise AssertionError("a dense SVD was taken past the cap")
@@ -561,6 +566,7 @@ class TestDomainFromTheCbRadius:
             raise AssertionError("T was built")
 
         monkeypatch.setattr(realization, "ampliated_apply", refuse)
+        monkeypatch.setattr(realization, "_ampliate", refuse)
         monkeypatch.setattr(realization, "_decide", refuse)
         assert in_domain(r, x)
         monkeypatch.undo()
@@ -624,7 +630,7 @@ class TestIndexRule:
             h = x - ampliate(y, x.level_m)
             depth = block_graph_depth(h)
             for a in maps:
-                index = realization._index(a, h)
+                index = index_at(a, h)
                 assert index == min(depth, a.nilpotency_index or depth)
                 t = ampliated_apply(a, h)
                 t = t.toarray() if scipy.sparse.issparse(t) else t
@@ -640,7 +646,7 @@ class TestIndexRule:
         h = planted(rng, x, *plant) - ampliate(y, x.level_m)
         assert block_graph_depth(h) is None
         for a in maps:
-            assert realization._index(a, h) == a.nilpotency_index
+            assert index_at(a, h) == a.nilpotency_index
 
     @pytest.mark.parametrize("kind", ["fm", "descriptor"])
     def test_sparse_map_at_a_tree_probe_is_a_finite_sum(self, kind, monkeypatch):
