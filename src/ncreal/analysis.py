@@ -262,28 +262,20 @@ def tree_point(y, parents, word, args, r=1.0):
         raise ValueError("word of length %d got %d arguments and %d parents"
                          % (ell, len(args), len(parents)))
     n, d = y.base_n, y.d
-    above, letters = np.asarray(parents), np.asarray(word)
-    try:
-        edges = np.asarray(args, dtype=np.complex128)
-    except ValueError:   # ragged arguments
-        edges = np.zeros(0)
-    if (edges.shape != (ell, n, n) or not np.all((0 <= above) & (above <= np.arange(ell)))
-            or not np.all((1 <= letters) & (letters <= d))):
-        # the edges fail at once: name the first bad node, as a check of each would
-        for pos, (parent, letter, g) in enumerate(zip(parents, word, args)):
-            if not 0 <= parent <= pos:
-                raise ValueError("node %d needs a parent among nodes 0..%d, got %r"
-                                 % (pos + 1, pos, parent))
-            if not 1 <= letter <= d:
-                raise ValueError("letter %r of node %d is not in 1..%d" % (letter, pos + 1, d))
-            if np.shape(g) != (n, n):
-                raise ValueError("argument %d must be %d x %d" % (pos + 1, n, n))
-        edges = np.asarray(args, dtype=np.complex128)   # raises what made them ragged
+    for pos, (parent, letter, g) in enumerate(zip(parents, word, args)):
+        if not 0 <= parent <= pos:
+            raise ValueError("node %d needs a parent among nodes 0..%d, got %r"
+                             % (pos + 1, pos, parent))
+        if not 1 <= letter <= d:
+            raise ValueError("letter %r of node %d is not in 1..%d" % (letter, pos + 1, d))
+        if np.shape(g) != (n, n):
+            raise ValueError("argument %d must be %d x %d" % (pos + 1, n, n))
     comps = np.zeros((d, ell + 1, n, ell + 1, n), dtype=np.complex128)
     diag = np.arange(ell + 1)
     comps[:, diag, :, diag, :] = y.array
     if ell:
-        comps[letters - 1, above, :, diag[1:], :] = r * edges
+        comps[np.asarray(word) - 1, np.asarray(parents), :, diag[1:], :] = \
+            r * np.asarray(args, dtype=np.complex128)
     return MatrixTuple(comps.reshape(d, (ell + 1) * n, (ell + 1) * n), n)
 
 

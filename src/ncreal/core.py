@@ -87,22 +87,8 @@ def _as_complex(a, name="matrix"):
 
 
 def _stacked(components):
-    """The components of a matrix tuple as one new (d, side, side) complex array.
-
-    Checked at once: finite, square and of one shape.  On a fault, the check of
-    each component in turn names the first bad one.
-    """
-    if not isinstance(components, np.ndarray):
-        components = list(components)
-    try:
-        array = np.array(components, dtype=np.complex128)
-    except (TypeError, ValueError):   # ragged, or an entry that is not a number
-        array = None
-    if array is not None and array.ndim == 3 and len(array) and array.shape[1] == array.shape[2]:
-        finite = np.isfinite(array).all(axis=(1, 2))
-        if finite.all():
-            return array
-        raise ValueError("component %d contains non-finite entries" % (np.argmin(finite) + 1))
+    """The components of a matrix tuple as one new (d, side, side) complex array,
+    each checked in turn, so that a fault names the first bad component."""
     comps = [_as_complex(c, "component %d" % (j + 1)) for j, c in enumerate(components)]
     if not comps:
         raise ValueError("a matrix tuple needs at least one component")

@@ -10,10 +10,10 @@ rather than approximate.
 The basis is laid out in degree blocks, l = 0..L.  Block l holds positions
 offset_l + arange(d^l n^{2(l+1)}) as an array with one axis per letter, of
 shape (d,)*l + (n,)*(l+1) + (n,)*(l+1): omega, then alpha, then beta.  Every
-operator reads its targets off these arrays (``_positions``).  The basis
-indices themselves, in the same order, are built once per (n, d, L) too and
-kept as a tuple (``_basis``): a vector read off a dense array names only its
-nonzero positions through it.
+operator reads its targets off these arrays (``_positions``), and the letters
+of the basis index at a position are its multi-index in its block
+(``_basis_indices``), so a vector read off a dense array names only its
+nonzero positions.
 
 Operators are returned as scipy.sparse matrices: the dimension grows like
 n^{2(l+1)} d^l and dense storage dies quickly.
@@ -75,17 +75,19 @@ def _positions(n, d, L):
     return tuple(pos)
 
 
-@lru_cache(maxsize=8)
-def _basis(n, d, L):
-    """The basis indices of :func:`fock_basis`, as a tuple shared by every caller."""
-    return tuple(FockBasisIndex(w[ell:2 * ell + 1], w[2 * ell + 1:], w[:ell])
-                 for ell, block in enumerate(_positions(n, d, L))
-                 for w in itertools.product(*(range(1, size + 1) for size in block.shape)))
+def _basis_indices(ell, letters):
+    """The degree-ell basis indices whose 0-based letters, omega then alpha then
+    beta, are given as one array per letter."""
+    letters = np.add(letters, 1).tolist()
+    omega = zip(*letters[:ell]) if ell else itertools.repeat(())
+    return list(map(FockBasisIndex, zip(*letters[ell:2 * ell + 1]),
+                    zip(*letters[2 * ell + 1:]), omega))
 
 
 def fock_basis(n, d, L):
     """All basis indices with |omega| <= L, ordered by degree then lexicographically."""
-    return list(_basis(n, d, L))
+    return [idx for ell, block in enumerate(_positions(n, d, L))
+            for idx in _basis_indices(ell, np.indices(block.shape).reshape(block.ndim, -1))]
 
 
 def basis_position(n, d, L):
@@ -440,18 +442,14 @@ def coeffs_from_nc_function(func, y, L, r=1.0):
     top = np.array(top)                                 # axes: probe, a_0, node, b_l
     blocks = [top[::len(children) ** (L - 1 - ell), :, ell] for ell in range(L)]
     blocks.append(top[:, :, L:].transpose(0, 2, 1, 3))  # the children, or the root at L = 0
-    vec = []
+    h = TruncatedFockVector(n, d, L)
     for ell, block in enumerate(blocks):
         # axes (k, b_{i-1}, a_i) for each pair i, then a_0, b_l; the Fock layout is
         # omega, alpha, beta
         block = block.reshape((d, n, n) * ell + (n, n)) / r ** ell
-        vec.append(block.transpose([*range(0, 3 * ell, 3), 3 * ell, *range(2, 3 * ell, 3),
-                                    *range(1, 3 * ell, 3), 3 * ell + 1]).ravel())
-    vec = np.concatenate(vec)
-    nonzero = np.flatnonzero(vec)
-    # the keys come from the basis, valid by construction: no per-key check
-    h = TruncatedFockVector(n, d, L)
-    if len(nonzero):
-        h.coeffs = dict(zip(map(_basis(n, d, L).__getitem__, nonzero.tolist()),
-                            vec[nonzero].tolist()))
+        block = block.transpose([*range(0, 3 * ell, 3), 3 * ell, *range(2, 3 * ell, 3),
+                                 *range(1, 3 * ell, 3), 3 * ell + 1])
+        # keys only at the nonzero coefficients, valid by construction: no per-key check
+        letters = np.nonzero(block)
+        h.coeffs.update(zip(_basis_indices(ell, letters), block[letters].tolist()))
     return h

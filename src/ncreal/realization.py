@@ -65,7 +65,8 @@ that the pencil passed.  :func:`series_transfer` is the finite sum with
 K = terms + 1.
 
 :func:`pencil`, :func:`pencil_sigma` and :func:`pole_order` stay exact; they
-are the only paths that take an SVD on purpose.  A dense copy of a sparse T
+are the only paths that take an SVD of the pencil.  The map's cb bound takes
+one batched SVD of its units, once per map.  A dense copy of a sparse T
 is refused with ValueError above ALLOCATION_CAP entries.
 """
 

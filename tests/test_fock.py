@@ -644,23 +644,18 @@ class TestCoeffsFromNcFunction:
         assert e.decided_by == "certificate"
         assert_allclose(e.value, transfer(fm, x), rtol=0, atol=0)
 
-    def test_basis_built_once_per_key_and_not_for_a_zero_function(self, monkeypatch):
+    def test_keys_built_only_for_nonzero_coefficients(self, monkeypatch):
         rng = np.random.default_rng(84)
         n, d, L = 2, 2, 2
         y, func = black_box("polynomial", rng, n, d)
         built = []
         monkeypatch.setattr(fock, "FockBasisIndex",
                             lambda *key: built.append(key) or FockBasisIndex(*key))
-        fock._basis.cache_clear()
-        try:
-            zero = coeffs_from_nc_function(lambda x: np.zeros((x.side, x.side)), y, L)
-            assert zero.coeffs == {} and built == []
-            first = coeffs_from_nc_function(func, y, L)
-            assert len(built) == fock_dim(n, d, L)
-            assert coeffs_from_nc_function(func, y, L).coeffs == first.coeffs
-            assert len(built) == fock_dim(n, d, L)
-        finally:
-            fock._basis.cache_clear()
+        zero = coeffs_from_nc_function(lambda x: np.zeros((x.side, x.side)), y, L)
+        assert zero.coeffs == {} and built == []
+        first = coeffs_from_nc_function(func, y, L)
+        assert 0 < len(first.coeffs) < fock_dim(n, d, L)
+        assert built == [tuple(key) for key in first.coeffs]
 
     def test_bad_black_box_values_name_the_probe_word(self):
         rng = np.random.default_rng(17)
