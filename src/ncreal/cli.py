@@ -97,8 +97,11 @@ def cmd_realize(args):
     centre = _load_centre(args.centre_file)
     constants = {}
     if args.constants:
-        for name, obj in read_json(args.constants).items():
-            constants[name] = MatrixTuple.from_json(obj).component(1)
+        table = read_json(args.constants)
+        if not isinstance(table, dict):
+            raise ValueError("constants file %s must hold a JSON object" % args.constants)
+        for name, obj in table.items():
+            constants[name] = MatrixTuple.from_json(obj, "constants." + name).component(1)
     expr = parse(text, centre.d, constants)
     fm = realize_expression(expr, centre)
     save_realization(fm, args.out)

@@ -10,6 +10,17 @@ construction so tuples can be shared freely across threads.
 This module owns the JSON file format of every command: a complex array is
 the flat row-major list of its [re, im] pairs, and a file holds one object
 with sorted keys (encode_complex, decode_complex, write_json, read_json).
+
+write_json is the one file encoder.  It encodes with orjson, compactly (no
+space after ``,`` or ``:``), and spells every double in its shortest form
+that reads back to the same bits (``1e-05`` is written ``0.00001``); the
+whole file is encoded before its target is opened, so a failed encode leaves
+an existing file as it was.  encode_complex refuses non-finite entries,
+which orjson would write as ``null``.  read_json decodes with the standard
+library's json: orjson 3.8 crashes the process on input nested about
+200,000 lists deep, where json raises RecursionError, which read_json
+reports as a ValueError naming the file.  Command reports are not files and
+keep the standard library's spaced encoding.
 """
 
 import array
@@ -435,8 +446,13 @@ def apply_similarity(s, x):
 # ---------------------------------------------------------------------------
 
 def encode_complex(a):
-    """The flat row-major list of [re, im] pairs of a complex array."""
+    """The flat row-major list of [re, im] pairs of a complex array.
+
+    Raises ValueError when an entry is not finite: no reader accepts it.
+    """
     a = np.ascontiguousarray(a, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise ValueError("cannot write an array with non-finite entries")
     return a.view(np.float64).reshape(-1, 2).tolist()
 
 
@@ -490,12 +506,18 @@ def decode_field(obj, key, shape, where):
 
 
 def write_json(obj, path):
-    """Write ``obj`` to ``path`` as JSON with sorted keys."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True))
+    """Write ``obj`` to ``path`` as compact JSON with sorted keys."""
+    import orjson  # imported here: only writers need it, and it adds 0.4 MB of RSS
+
+    data = orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_json(path):
     """The object stored in the JSON file at ``path``."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply to read" % path) from None

@@ -29,11 +29,11 @@ def test_all_names_resolve(module):
 
 
 def test_import_loads_no_sparse_solver_or_graph_module():
-    # both are imported where a sparse pencil or a component analysis needs them,
-    # so that importing ncreal stays cheap
+    # both are imported where a sparse pencil or a component analysis needs them, and
+    # orjson where a file is written, so that importing ncreal stays cheap
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ncreal.__file__)))
     out = subprocess.run([sys.executable, "-c", "import sys, ncreal; print(sorted(m for m in "
                           "sys.modules if m.startswith(('scipy.sparse.csgraph', "
-                          "'scipy.sparse.linalg'))))"],
+                          "'scipy.sparse.linalg', 'orjson'))))"],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

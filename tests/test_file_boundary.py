@@ -1,11 +1,14 @@
-"""The file boundary: a mutated realization or point file ends in exit 2.
+"""The file boundary: a mutated input file ends in exit 2.
 
-Valid files from ``ncreal realize`` and ``ncreal minimize`` are mutated one
-site at a time: a dropped key, a value of the wrong JSON type, a list one
-entry too short or too long, a NaN or infinite number, a huge dimension.
-Each mutated file goes through ``eval``, ``equiv``, ``minimize`` and
-``certify``; every run must exit 2 with one line on standard error and no
-traceback.
+Valid files from ``ncreal realize`` and ``ncreal minimize``, a point file, a
+Fock file and a constants file are mutated one site at a time: a dropped
+key, a value of the wrong JSON type, a list one entry too short or too long,
+a NaN or infinite number, a huge dimension.  Each mutated realization goes
+through ``eval``, ``equiv``, ``minimize`` and ``certify``, a mutated point
+through ``eval``, a mutated Fock file through ``fock`` and a mutated
+constants file through ``realize --constants``.  A file of lists nested
+200,000 deep goes in every JSON argument of every command.  Every run must
+exit 2 with one line on standard error and no traceback.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from ncreal.cli import main
 from ncreal.core import CentrePoint, MatrixTuple
+from ncreal.fock import TruncatedFockVector
 
 HUGE = [10 ** 9, 2 ** 40, 10 ** 18, 2 ** 63]
 WRONG_TYPE = {
@@ -40,7 +44,7 @@ def cli(*argv):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Valid FM and descriptor realization files, a point file, and a scratch path."""
+    """Valid FM and descriptor realization, point, Fock and constants files."""
     root = tmp_path_factory.mktemp("boundary")
     rng = np.random.default_rng(8)
     e12, e21 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -51,8 +55,16 @@ def files(tmp_path_factory):
     realized = cli("realize", root / "poly.expr", root / "centre.json", "--out", root / "fm.json")
     assert realized[0] == 0
     assert cli("minimize", root / "fm.json", "--out", root / "desc.json")[0] == 0
+    TruncatedFockVector(2, 2, 1, {((1,), (2,), ()): 1.0, ((1, 2), (2, 1), (1,)): 0.5j}).dump(
+        root / "fock.json")
+    assert cli("fock", root / "fock.json", root / "centre.json", "--out", root / "h.json")[0] == 0
+    (root / "const.expr").write_text("x1*J + x2\n")
+    MatrixTuple([rng.standard_normal((2, 2))], 2).dump(root / "J.json")
+    (root / "consts.json").write_text('{"J": %s}' % (root / "J.json").read_text())
+    assert cli("realize", root / "const.expr", root / "centre.json", "--constants",
+               root / "consts.json", "--out", root / "c.json")[0] == 0
     valid = {name: json.loads((root / (name + ".json")).read_text())
-             for name in ("fm", "desc", "point")}
+             for name in ("fm", "desc", "point", "fock", "consts")}
     return root, valid
 
 
@@ -76,7 +88,8 @@ def mutations(draw, obj):
         # M may be left out of a map whose values are square
         "drop": [p for p, _ in every if isinstance(p[-1], str) and p[-1] != "M"],
         "type": [p for p, v in every if type(v) in WRONG_TYPE],
-        "shape": [p for p, v in every if isinstance(v, list) and v],
+        # a Fock file with one term fewer is a valid file
+        "shape": [p for p, v in every if isinstance(v, list) and v and p != ("terms",)],
         "nonfinite": [p for p, v in every if type(v) in (int, float)],
         "huge": [p for p, v in every if type(v) is int],
     }[kind]
@@ -134,3 +147,69 @@ def test_mutated_point_exits_two(files, form, data):
     bad, what = data.draw(mutations(valid["point"]))
     (root / "bad.json").write_text(json.dumps(bad))
     assert_refused(*cli("eval", root / (form + ".json"), root / "bad.json"), what)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_fock_file_exits_two(files, data):
+    root, valid = files
+    bad, what = data.draw(mutations(valid["fock"]))
+    (root / "bad.json").write_text(json.dumps(bad))
+    assert_refused(*cli("fock", root / "bad.json", root / "centre.json",
+                        "--out", root / "never.json"), what)
+    assert not (root / "never.json").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_constants_file_exits_two(files, data):
+    root, valid = files
+    bad, what = data.draw(mutations(valid["consts"]))
+    (root / "bad.json").write_text(json.dumps(bad))
+    assert_refused(*cli("realize", root / "const.expr", root / "centre.json", "--constants",
+                        root / "bad.json", "--out", root / "never.json"), what)
+    assert not (root / "never.json").exists()
+
+
+@pytest.mark.parametrize("table", [[], "J", 3, None])
+def test_constants_file_that_is_not_an_object_exits_two(files, table):
+    root, _ = files
+    (root / "bad.json").write_text(json.dumps(table))
+    assert_refused(*cli("realize", root / "const.expr", root / "centre.json", "--constants",
+                        root / "bad.json", "--out", root / "never.json"), repr(table))
+
+
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory):
+    """A file of lists nested 200,000 deep."""
+    path = tmp_path_factory.mktemp("deep") / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return path
+
+
+DEEP_ARGV = {
+    "eval-realization": ["eval", "{deep}", "point.json"],
+    "eval-point": ["eval", "fm.json", "{deep}"],
+    "equiv": ["equiv", "fm.json", "{deep}"],
+    "minimize": ["minimize", "{deep}", "--out", "never.json"],
+    "certify": ["certify", "{deep}"],
+    "translate-realization": ["translate", "{deep}", "point.json", "--out", "never.json"],
+    "translate-point": ["translate", "desc.json", "{deep}", "--out", "never.json"],
+    "fock-vector": ["fock", "{deep}", "centre.json", "--out", "never.json"],
+    "fock-centre": ["fock", "fock.json", "{deep}", "--out", "never.json"],
+    "domain-sample": ["domain-sample", "{deep}"],
+    "realize-centre": ["realize", "poly.expr", "{deep}", "--out", "never.json"],
+    "realize-constants": ["realize", "const.expr", "centre.json", "--constants", "{deep}",
+                          "--out", "never.json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(DEEP_ARGV.values()), ids=list(DEEP_ARGV))
+def test_deeply_nested_file_exits_two(files, deep, argv):
+    root, _ = files
+    args = [deep if a == "{deep}" else root / a if a.endswith((".json", ".expr")) else a
+            for a in argv]
+    code, out, err = cli(*args)
+    assert_refused(code, out, err, argv)
+    assert str(deep) in err
+    assert not (root / "never.json").exists()
