@@ -35,8 +35,8 @@ from .core import (
     ampliate,
     column_norm,
     encode_complex,
+    load_json,
     passes_invertibility,
-    read_json,
     require_nonnegative,
     singular_value_range,
 )
@@ -85,6 +85,20 @@ def _load_centre(path):
     return y
 
 
+def _constants_from_json(table):
+    """The named matrices of a constants file: each a tuple with d = 1 and m = 1."""
+    if not isinstance(table, dict):
+        raise ValueError("constants must be a JSON object, got %s" % type(table).__name__)
+    constants = {}
+    for name, obj in table.items():
+        t = MatrixTuple.from_json(obj, "constants." + name)
+        if t.d != 1 or t.level_m != 1:
+            raise ValueError("constants.%s must be one matrix (d = 1, m = 1), got d = %d, "
+                             "m = %d" % (name, t.d, t.level_m))
+        constants[name] = t.component(1)
+    return constants
+
+
 def _as_descriptor(r):
     if isinstance(r, FMRealization):
         return fm_to_desc(r)
@@ -95,13 +109,7 @@ def cmd_realize(args):
     with open(args.expr_file) as fh:
         text = fh.read()
     centre = _load_centre(args.centre_file)
-    constants = {}
-    if args.constants:
-        table = read_json(args.constants)
-        if not isinstance(table, dict):
-            raise ValueError("constants file %s must hold a JSON object" % args.constants)
-        for name, obj in table.items():
-            constants[name] = MatrixTuple.from_json(obj, "constants." + name).component(1)
+    constants = load_json(args.constants, _constants_from_json) if args.constants else {}
     expr = parse(text, centre.d, constants)
     fm = realize_expression(expr, centre)
     save_realization(fm, args.out)
@@ -314,7 +322,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (SingularMatrixError, OSError, ValueError, KeyError) as exc:
-        # ParseError, UndefinedAtCentreError and JSONDecodeError are ValueErrors
+        # ParseError and UndefinedAtCentreError are ValueErrors
         log.debug("%s failed", args.command, exc_info=True)
         sys.stderr.write("error: %s\n" % exc)
         return 3 if isinstance(exc, SingularMatrixError) else 2

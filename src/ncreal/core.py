@@ -16,15 +16,22 @@ space after ``,`` or ``:``), and spells every double in its shortest form
 that reads back to the same bits (``1e-05`` is written ``0.00001``); the
 whole file is encoded before its target is opened, so a failed encode leaves
 an existing file as it was.  encode_complex refuses non-finite entries,
-which orjson would write as ``null``.  read_json decodes with the standard
-library's json: orjson 3.8 crashes the process on input nested about
-200,000 lists deep, where json raises RecursionError, which read_json
-reports as a ValueError naming the file.  Command reports are not files and
+which orjson would write as ``null``.  Command reports are not files and
 keep the standard library's spaced encoding.
+
+read_json is the one file reader, on orjson too.  orjson parses the whole
+input before it builds a Python object, and only the build recurses: input
+that is not JSON, however deep, raises JSONDecodeError, while valid JSON
+nested about 130,000 lists deep overflows an 8 MB C stack and kills the
+process.  So read_json first bounds the nesting depth from above, with bytes
+operations and one cumsum (_json_depth_bound), and refuses a file whose
+bound exceeds MAX_JSON_DEPTH = 64; the file formats nest at most 7 deep.
+tests/test_json_reader.py pins both facts about orjson.  load_json reads a
+file and decodes the object in it; a ValueError from either step names the
+file.
 """
 
 import array
-import json
 import math
 from itertools import chain
 
@@ -35,6 +42,7 @@ import scipy.sparse
 
 __all__ = [
     "ALLOCATION_CAP",
+    "MAX_JSON_DEPTH",
     "INVERTIBILITY_RTOL",
     "RANK_RTOL",
     "SingularMatrixError",
@@ -64,6 +72,7 @@ __all__ = [
     "decode_field",
     "write_json",
     "read_json",
+    "load_json",
 ]
 
 # A matrix counts as invertible when sigma_min > INVERTIBILITY_RTOL * max(1, sigma_max).
@@ -75,6 +84,9 @@ RANK_RTOL = 1e-10
 # Most entries a construction whose size grows exponentially may allocate:
 # 2^22 complex128 entries are 64 MB.  Checked before the allocation.
 ALLOCATION_CAP = 2 ** 22
+
+# Deepest nesting read_json accepts; no file format nests deeper than 7.
+MAX_JSON_DEPTH = 64
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -356,7 +368,7 @@ class MatrixTuple:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(read_json(path))
+        return load_json(path, cls.from_json)
 
 
 class CentrePoint(MatrixTuple):
@@ -507,17 +519,58 @@ def decode_field(obj, key, shape, where):
 
 def write_json(obj, path):
     """Write ``obj`` to ``path`` as compact JSON with sorted keys."""
-    import orjson  # imported here: only writers need it, and it adds 0.4 MB of RSS
+    import orjson  # imported here: only files need it, and it adds 0.4 MB of RSS
 
     data = orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
     with open(path, "wb") as fh:
         fh.write(data)
 
 
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_DEPTH_STEP = np.zeros(256, dtype=np.int64)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
+
+
+def _json_depth_bound(data):
+    """An upper bound, at most one too high, on the nesting depth of the JSON text
+    ``data`` (bytes); 0 stands for a scalar.
+
+    Escaped backslashes and quotes go first, then everything but brackets and
+    quotes; the even pieces between quotes are what lies outside strings.  Their
+    empty lists ``[]`` (the [re, im] pairs, once numbers are gone) drop out and
+    count as one more level, so the cumsum runs over a few brackets per array.
+    """
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    kept = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
+    steps = _DEPTH_STEP[np.frombuffer(kept.replace(b"[]", b""), dtype=np.uint8)]
+    return int(np.cumsum(steps).max(initial=0)) + 1
+
+
 def read_json(path):
-    """The object stored in the JSON file at ``path``."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError("%s: JSON nested too deeply to read" % path) from None
+    """The object stored in the JSON file at ``path``.
+
+    Raises ValueError naming the file when it is not JSON or nests deeper than
+    MAX_JSON_DEPTH.
+    """
+    import orjson  # imported here: only files need it, and it adds 0.4 MB of RSS
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _json_depth_bound(data) > MAX_JSON_DEPTH:
+        raise ValueError("%s: JSON nested too deeply to read" % path)
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def load_json(path, decode):
+    """``decode(read_json(path))``; a ValueError from ``decode`` is raised again with
+    the file's name in front of its message."""
+    obj = read_json(path)
+    try:
+        return decode(obj)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None

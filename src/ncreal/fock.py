@@ -29,7 +29,7 @@ import scipy.sparse
 
 from . import core
 from .core import (column_norm, decode_complex, deviation_from_centre, encode_complex,
-                   eye_kron, json_field, matrix_units, read_json, require_nonnegative,
+                   eye_kron, json_field, load_json, matrix_units, require_nonnegative,
                    require_positive, require_within_cap, write_json)
 from .linmap import MatrixLinearMap
 from .realization import DescriptorRealization
@@ -233,7 +233,7 @@ class TruncatedFockVector:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(read_json(path))
+        return load_json(path, cls.from_json)
 
 
 def _basis_evaluation(idx, h_components, n, m):

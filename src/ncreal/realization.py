@@ -85,8 +85,8 @@ from .core import (
     eye_kron,
     graph_depth,
     json_field,
+    load_json,
     passes_invertibility,
-    read_json,
     require_within_cap,
     singular_value_range,
     solve_refined,
@@ -270,9 +270,13 @@ def save_realization(r, path):
 def load_realization(path):
     """The descriptor or FM realization stored at ``path``.
 
-    Raises ValueError naming the field when the file does not hold one.
+    Raises ValueError naming the file and the field when the file does not hold
+    one.
     """
-    obj = read_json(path)
+    return load_json(path, _realization_from_json)
+
+
+def _realization_from_json(obj):
     kind = json_field(obj, "kind", str, "realization")
     if kind == "descriptor":
         return DescriptorRealization.from_json(obj)

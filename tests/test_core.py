@@ -216,6 +216,10 @@ def test_side_zero_rejected():
 def test_nonfinite_entries_rejected():
     with pytest.raises(ValueError, match="finite"):
         MatrixTuple([np.array([[np.nan]])], 1)
+    # no file holds one (NaN and Infinity are not JSON), but an object made in memory can
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^realization\.A\.coeffs: entries must be finite$"):
+            decode_complex([[bad, 0.0]], (1,), "realization.A.coeffs")
 
 
 def test_deviation_that_overflows_is_refused():

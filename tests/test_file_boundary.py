@@ -6,9 +6,10 @@ key, a value of the wrong JSON type, a list one entry too short or too long,
 a NaN or infinite number, a huge dimension.  Each mutated realization goes
 through ``eval``, ``equiv``, ``minimize`` and ``certify``, a mutated point
 through ``eval``, a mutated Fock file through ``fock`` and a mutated
-constants file through ``realize --constants``.  A file of lists nested
-200,000 deep goes in every JSON argument of every command.  Every run must
-exit 2 with one line on standard error and no traceback.
+constants file through ``realize --constants``.  Valid JSON nested 200,000
+deep (lists, objects, or both) goes in every JSON argument of every
+command.  Every run must exit 2 with one line on standard error and no
+traceback; a message about a file names it.
 """
 
 import contextlib
@@ -181,10 +182,14 @@ def test_constants_file_that_is_not_an_object_exits_two(files, table):
 
 @pytest.fixture(scope="module")
 def deep(tmp_path_factory):
-    """A file of lists nested 200,000 deep."""
-    path = tmp_path_factory.mktemp("deep") / "deep.json"
-    path.write_text("[" * 200_000 + "]" * 200_000)
-    return path
+    """Valid JSON nested 200,000 deep: lists, objects, and lists of objects."""
+    root = tmp_path_factory.mktemp("deep")
+    paths = []
+    for name, (head, core, tail) in {"lists": ("[", "", "]"), "objects": ('{"a":', "1", "}"),
+                                     "mixed": ('[{"a":', "1", "}]")}.items():
+        paths.append(root / (name + ".json"))
+        paths[-1].write_text(head * 200_000 + core + tail * 200_000)
+    return paths
 
 
 DEEP_ARGV = {
@@ -204,12 +209,75 @@ DEEP_ARGV = {
 }
 
 
+def with_file(argv, root, path, slot="{deep}"):
+    """``argv`` with ``path`` in its slot and the fixture files under ``root``."""
+    return [path if a == slot else root / a if a.endswith((".json", ".expr")) else a
+            for a in argv]
+
+
 @pytest.mark.parametrize("argv", list(DEEP_ARGV.values()), ids=list(DEEP_ARGV))
 def test_deeply_nested_file_exits_two(files, deep, argv):
     root, _ = files
-    args = [deep if a == "{deep}" else root / a if a.endswith((".json", ".expr")) else a
-            for a in argv]
-    code, out, err = cli(*args)
+    for path in deep:
+        code, out, err = cli(*with_file(argv, root, path))
+        assert_refused(code, out, err, (argv, path.name))
+        assert str(path) in err
+        assert not (root / "never.json").exists()
+
+
+MALFORMED = [b"", b"{not json", b"\xff\xfe[1]", b"[1, 2", b"\x00", b'{"a": NaN}',
+             b'"' + b"[" * 200_000, b'{"a": "\\\\"' + b"[" * 1000 + b"}",
+             json.dumps("[" * 200_000).encode()]
+
+
+@pytest.mark.parametrize("argv", list(DEEP_ARGV.values()), ids=list(DEEP_ARGV))
+def test_malformed_bytes_exit_two(files, argv):
+    root, _ = files
+    bad = root / "malformed.json"
+    for content in MALFORMED:
+        bad.write_bytes(content)
+        code, out, err = cli(*with_file(argv, root, bad))
+        assert_refused(code, out, err, (argv, content[:20]))
+        assert err.startswith("error: %s: " % bad)
+        assert not (root / "never.json").exists()
+
+
+def test_brackets_inside_a_string_are_not_nesting(files):
+    root, valid = files
+    padded = dict(valid["fm"], note="[" * 200_000 + "{" * 1000)
+    (root / "padded.json").write_text(json.dumps(padded))
+    code, out, err = cli("certify", root / "padded.json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["is_nc_function"] is True
+
+
+@pytest.mark.parametrize("content,argv,message", [
+    ("{not json", ["equiv", "fm.json", "{bad}"], ""),
+    ("{not json", ["equiv", "{bad}", "fm.json"], ""),
+    ("centre", ["certify", "{bad}"], "realization.kind is missing\n"),
+    ("centre", ["fock", "{bad}", "centre.json", "--out", "never.json"],
+     "fock vector.L is missing\n"),
+    ("fm", ["eval", "fm.json", "{bad}"], "tuple.n is missing\n"),
+], ids=["syntax-second", "syntax-first", "centre-as-realization", "centre-as-fock-vector",
+        "realization-as-point"])
+def test_file_error_names_its_file(files, content, argv, message):
+    root, _ = files
+    bad = root / "bad.json"
+    bad.write_text((root / (content + ".json")).read_text() if content in ("centre", "fm")
+                   else content)
+    code, out, err = cli(*with_file(argv, root, bad, "{bad}"))
     assert_refused(code, out, err, argv)
-    assert str(deep) in err
+    assert err.startswith("error: %s: " % bad) and err.endswith(message)
+    assert str(root / "fm.json") not in err
+
+
+def test_constant_that_is_not_one_matrix_exits_two(files):
+    root, _ = files
+    MatrixTuple([np.eye(2), 5 * np.eye(2)], 2).dump(root / "J2.json")
+    (root / "bad.json").write_text('{"J": %s}' % (root / "J2.json").read_text())
+    code, out, err = cli("realize", root / "const.expr", root / "centre.json", "--constants",
+                         root / "bad.json", "--out", root / "never.json")
+    assert_refused(code, out, err, "J = (I, 5 I)")
+    assert err == "error: %s: constants.J must be one matrix (d = 1, m = 1), got d = 2, " \
+                  "m = 1\n" % (root / "bad.json")
     assert not (root / "never.json").exists()
