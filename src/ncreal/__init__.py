@@ -10,18 +10,13 @@ from .core import (
     CentrePoint,
     MatrixTuple,
     SingularMatrixError,
-    all_words,
     ampliate,
     apply_similarity,
     column_norm,
-    direct_sum,
-    word_transpose,
 )
 from .linmap import (
     MatrixLinearMap,
-    adjoint_word_apply,
     ampliated_apply,
-    apply,
     cb_row_norm_bound,
     word_apply,
 )
@@ -36,7 +31,6 @@ from .realization import (
     pencil,
     pole_order,
     save_realization,
-    series_transfer,
     transfer,
     transfer_fm,
 )
@@ -54,7 +48,6 @@ from .analysis import (
     analytically_equivalent,
     controllable_basis,
     is_minimal,
-    is_nc_function,
     kalman_minimize,
     llac_residual,
     max_moment_deviation,
@@ -81,9 +74,7 @@ from .fock import (
     fock_realization,
     kernel_vector,
     left_creation,
-    reshuffle,
     right_creation,
-    unreshuffle,
 )
 
 __version__ = "0.1.0"

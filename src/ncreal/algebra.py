@@ -112,6 +112,8 @@ def desc_to_fm(r):
     The state restricts to the smallest A-invariant subspace containing all
     of Ran A_j(E_pq) c; with orthonormal basis V the data become
     A'_j = V* A_j(.) V, B_j(G) = V* A_j(G) c, C = b* V and D = b* c.
+    The descriptor and FM forms realize the same functions, which
+    tests/test_algebra.py::TestConversions::test_desc_to_fm_preserves_transfer checks.
     """
     from .analysis import invariant_subspace  # deferred: analysis imports us
 

@@ -44,7 +44,8 @@ from .core import (
 from .linmap import MatrixLinearMap, ampliated_apply
 from .realization import (
     DescriptorRealization,
-    _decided_pencil,
+    _decide,
+    _dense_pencil,
     check_same_centre,
     transfer,
 )
@@ -57,7 +58,6 @@ __all__ = [
     "kalman_minimize",
     "translate",
     "llac_residual",
-    "is_nc_function",
     "tree_point",
     "nilpotent_point",
     "nilpotent_moment",
@@ -155,12 +155,12 @@ def translate(r, x):
     """
     m, n, nstate = x.level_m, r.n, r.N
     require_within_cap(r.d * (m * m * n * nstate) ** 2, "the map translated to level %d" % m)
-    p, verdict = _decided_pencil(r, x)
+    _, _, t, _, p, verdict = _decide(r, x)   # T built once, for the verdict and Lambda
     if not verdict.in_domain:
         raise SingularMatrixError("cannot translate: point outside the invertibility "
                                   "domain (pencil sigma_min = %.3e)" % verdict.sigma_min,
                                   sigma_min=verdict.sigma_min)
-    lam = np.linalg.inv(p)
+    lam = np.linalg.inv(_dense_pencil(t) if p is None else p)
     # block (k, l) of A'_j(E_pq) is Lambda[:, k-th N columns] @ A_j(E_pq) in column block l
     lam_blocks = lam.reshape(m * nstate, m, nstate).transpose(1, 0, 2)
     prod = lam_blocks[:, None, None, None] @ r.A.dense()   # axes k, j, p, q
@@ -188,7 +188,8 @@ def llac_residual(r):
     the product L R and L R_T is T acting on its columns; past that shared
     product each T costs A([T, Y]) R and L (A([T, Y]) R).  The residual is
     the largest Frobenius norm among the (left, right) blocks.  A minimal
-    realization defines an NC function exactly when it vanishes.
+    realization defines an NC function exactly when it vanishes.  ValueError
+    when a product overflows, so that no NaN or inf stands in for a residual.
     """
     n, d, nstate = r.n, r.d, r.N
     if nstate == 0:
@@ -226,13 +227,11 @@ def llac_residual(r):
             res[:, n:].reshape(lr_cols.shape)[:, :, ss] -= lr_cols[:, :, rr]
             sq = res.real ** 2 + res.imag ** 2
             blocks = np.add.reduceat(np.add.reduceat(sq, edges, axis=0), edges, axis=1)
-            worst = max(worst, float(np.sqrt(blocks.max())))
+            residual = float(np.sqrt(blocks.max()))
+            if not np.isfinite(residual):   # max() would keep worst over a NaN
+                raise ValueError("the Lost-Abbey residual overflows to non-finite entries")
+            worst = max(worst, residual)
     return worst
-
-
-def is_nc_function(r, tol=1e-9):
-    """Certificate: the Kalman-minimized realization satisfies the LAC at tol."""
-    return llac_residual(kalman_minimize(r)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,8 @@ def recover_similarity(r1, r2):
     minimal, so the test skips its Kalman step.  Raises ValueError on
     mismatched dimensions, non-minimal or inequivalent inputs, or a subspace
     that is not N-dimensional, and SingularMatrixError when V_1 or S fails
-    the invertibility test.
+    the invertibility test.  The paper's statement that minimal realizations of one
+    function are similar, by a unique S: tests/test_analysis.py::TestRecoverSimilarity.
     """
     check_same_centre(r1, r2)
     nstate = r1.N

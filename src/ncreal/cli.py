@@ -6,7 +6,9 @@ domain sampler emits CSV.  Exit codes: 0 success, 2 user-input error
 (parsing, file formats, expressions undefined at the centre), 3 numerical
 failure (singular pencil or centre value).  An error is reported as one
 line on standard error, ``error: <message>``; NCREAL_LOG=DEBUG adds its
-traceback.  A fixed --seed makes every sampling command bit-reproducible.
+traceback.  Arithmetic that overflows ends there too, in exit 2: no NaN or inf
+reaches a verdict or a report.  A fixed --seed makes every sampling command
+bit-reproducible.
 
 ``eval`` reports the margin of its domain decision: ``decided_by`` is
 "certificate" when ``sigma_min`` and ``sigma_max`` are certified bounds on the
@@ -65,7 +67,8 @@ SCHEMA_VERSION = "4"
 
 def _emit(report):
     report["schema_version"] = SCHEMA_VERSION
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    # a NaN or inf is refused, not written: it is not JSON, and no verdict rests on one
+    sys.stdout.write(json.dumps(report, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _matrix_json(m):
@@ -129,6 +132,8 @@ def cmd_eval(args):
     if x.base_n != r.n:
         x = x.rebased(r.n)
     e = evaluate(r, x)
+    if e.in_domain and not np.isfinite(e.value).all():
+        raise ValueError("the value at X overflows to non-finite entries")
     _emit({
         "in_domain": e.in_domain,
         "decided_by": e.decided_by,
@@ -320,7 +325,8 @@ def main(argv=None):
     top = _build_parser()
     args = top.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):   # each overflow meets a finiteness check instead
+            return args.func(args)
     except (SingularMatrixError, OSError, ValueError, KeyError) as exc:
         # ParseError and UndefinedAtCentreError are ValueErrors
         log.debug("%s failed", args.command, exc_info=True)

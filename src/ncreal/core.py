@@ -1,4 +1,4 @@
-"""Dense complex matrices, free-monoid words, and points of the matrix universe.
+"""Dense complex matrices and points of the matrix universe.
 
 Everything downstream manipulates column d-tuples X = (X_1, ..., X_d) of
 square complex matrices.  A tuple at level m over centre size n consists of
@@ -26,6 +26,8 @@ nested about 130,000 lists deep overflows an 8 MB C stack and kills the
 process.  So read_json first bounds the nesting depth from above, with bytes
 operations and one cumsum (_json_depth_bound), and refuses a file whose
 bound exceeds MAX_JSON_DEPTH = 64; the file formats nest at most 7 deep.
+The same bytes pass keeps the t and f that begin true and false, and
+read_json refuses them after the parse: no file format holds a boolean.
 tests/test_json_reader.py pins both facts about orjson.  load_json reads a
 file and decodes the object in it; a ValueError from either step names the
 file.
@@ -36,7 +38,6 @@ import math
 from itertools import chain
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
 
@@ -48,10 +49,7 @@ __all__ = [
     "SingularMatrixError",
     "MatrixTuple",
     "CentrePoint",
-    "all_words",
-    "word_transpose",
     "matrix_units",
-    "direct_sum",
     "ampliate",
     "eye_kron",
     "column_norm",
@@ -231,27 +229,6 @@ def matrix_units(n):
 
 
 # ---------------------------------------------------------------------------
-# words of the free monoid on d letters
-# ---------------------------------------------------------------------------
-# A word is a plain tuple of 1-based letters; the empty tuple is the unit.
-
-def all_words(d, max_len):
-    """All words of length 0..max_len, in length-then-lexicographic order."""
-    if d < 1:
-        raise ValueError("need at least one letter, got d = %d" % d)
-    words = [()]
-    level = [()]
-    for _ in range(max_len):
-        level = [w + (j,) for w in level for j in range(1, d + 1)]
-        words.extend(level)
-    return words
-
-
-def word_transpose(word):
-    return tuple(reversed(word))
-
-
-# ---------------------------------------------------------------------------
 # matrix tuples
 # ---------------------------------------------------------------------------
 
@@ -303,11 +280,6 @@ class MatrixTuple:
     def component(self, j):
         """Component X_j for a 1-based letter j."""
         return self.components[j - 1]
-
-    def block(self, j, k, l):
-        """The (k, l) centre-size block of component j (all indices 0-based except j)."""
-        n = self.base_n
-        return self.components[j - 1][k * n:(k + 1) * n, l * n:(l + 1) * n]
 
     def __sub__(self, other):
         return self._entrywise(np.subtract, other)
@@ -382,17 +354,6 @@ class CentrePoint(MatrixTuple):
             raise ValueError("a centre point lives at level 1; got side %d over n = %d"
                              % (side, base_n))
         super().__init__(components, base_n)
-
-
-def direct_sum(x, z):
-    """Componentwise block-diagonal direct sum; levels add."""
-    if x.d != z.d or x.base_n != z.base_n:
-        raise ValueError(
-            "direct sum needs matching centre data: %s vs %s"
-            % (x._shape_str(), z._shape_str())
-        )
-    comps = [scipy.linalg.block_diag(a, b) for a, b in zip(x.components, z.components)]
-    return MatrixTuple(comps, x.base_n)
 
 
 def ampliate(y, m):
@@ -526,44 +487,56 @@ def write_json(obj, path):
         fh.write(data)
 
 
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_NOT_OUTLINE = bytes(sorted(set(range(256)) - set(b'[]{}"tf')))
 _DEPTH_STEP = np.zeros(256, dtype=np.int64)
 _DEPTH_STEP[list(b"[{")] = 1
 _DEPTH_STEP[list(b"]}")] = -1
 
 
-def _json_depth_bound(data):
-    """An upper bound, at most one too high, on the nesting depth of the JSON text
-    ``data`` (bytes); 0 stands for a scalar.
+def _json_outline(data):
+    """The brackets, braces, ``t`` and ``f`` of the JSON text ``data`` (bytes) that lie
+    outside its strings.  Outside strings, t and f only begin ``true`` and ``false``.
 
-    Escaped backslashes and quotes go first, then everything but brackets and
-    quotes; the even pieces between quotes are what lies outside strings.  Their
-    empty lists ``[]`` (the [re, im] pairs, once numbers are gone) drop out and
-    count as one more level, so the cumsum runs over a few brackets per array.
+    Escaped backslashes and quotes go first, then everything but those bytes and
+    quotes; the even pieces between quotes are what lies outside strings.
     """
     if b"\\" in data:
         data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
-    kept = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
-    steps = _DEPTH_STEP[np.frombuffer(kept.replace(b"[]", b""), dtype=np.uint8)]
+    return b"".join(data.translate(None, _NOT_OUTLINE).split(b'"')[::2])
+
+
+def _json_depth_bound(outline):
+    """An upper bound, at most one too high, on the nesting depth of the JSON text
+    whose :func:`_json_outline` is ``outline``; 0 stands for a scalar.
+
+    Empty lists ``[]`` (the [re, im] pairs, once numbers are gone) drop out and
+    count as one more level, so the cumsum runs over a few brackets per array.
+    """
+    steps = _DEPTH_STEP[np.frombuffer(outline.replace(b"[]", b""), dtype=np.uint8)]
     return int(np.cumsum(steps).max(initial=0)) + 1
 
 
 def read_json(path):
     """The object stored in the JSON file at ``path``.
 
-    Raises ValueError naming the file when it is not JSON or nests deeper than
-    MAX_JSON_DEPTH.
+    Raises ValueError naming the file when it is not JSON, nests deeper than
+    MAX_JSON_DEPTH or holds true or false: no file format has a boolean, and
+    a reader of real numbers would take them as 1.0 and 0.0.
     """
     import orjson  # imported here: only files need it, and it adds 0.4 MB of RSS
 
     with open(path, "rb") as fh:
         data = fh.read()
-    if _json_depth_bound(data) > MAX_JSON_DEPTH:
+    outline = _json_outline(data)
+    if _json_depth_bound(outline) > MAX_JSON_DEPTH:
         raise ValueError("%s: JSON nested too deeply to read" % path)
     try:
-        return orjson.loads(data)
+        obj = orjson.loads(data)
     except orjson.JSONDecodeError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
+    if b"t" in outline or b"f" in outline:   # valid JSON: they begin true and false
+        raise ValueError("%s: holds true or false; no file format has a boolean" % path)
+    return obj
 
 
 def load_json(path, decode):

@@ -38,7 +38,6 @@ __all__ = [
     "FockBasisIndex",
     "TruncatedFockVector",
     "fock_basis",
-    "basis_position",
     "fock_dim",
     "left_creation",
     "right_creation",
@@ -47,8 +46,6 @@ __all__ = [
     "kernel_vector",
     "fock_inner",
     "fock_realization",
-    "reshuffle",
-    "unreshuffle",
     "coeffs_from_nc_function",
 ]
 
@@ -88,11 +85,6 @@ def fock_basis(n, d, L):
     """All basis indices with |omega| <= L, ordered by degree then lexicographically."""
     return [idx for ell, block in enumerate(_positions(n, d, L))
             for idx in _basis_indices(ell, np.indices(block.shape).reshape(block.ndim, -1))]
-
-
-def basis_position(n, d, L):
-    """Mapping FockBasisIndex -> position in the canonical basis order."""
-    return {idx: k for k, idx in enumerate(fock_basis(n, d, L))}
 
 
 def _creation_targets(n, d, L, a, b, w, last):
@@ -163,17 +155,6 @@ class TruncatedFockVector:
                 table[idx] = complex(val)
         self.coeffs = table
 
-    def coeff(self, alpha, beta, omega):
-        return self.coeffs.get(FockBasisIndex(tuple(alpha), tuple(beta), tuple(omega)), 0j)
-
-    def norm(self):
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values())))
-
-    def degree_mass(self, ell):
-        """Sum of |coefficient|^2 over indices with |omega| = ell."""
-        return float(sum(abs(v) ** 2 for k, v in self.coeffs.items()
-                         if len(k.omega) == ell))
-
     def to_dense(self):
         """The coefficients as one vector in the basis order: the keys of each degree
         are read off its ``_positions`` block, and one scatter per degree writes their
@@ -188,13 +169,6 @@ class TruncatedFockVector:
             if keys:
                 vec[block[tuple(np.array(keys).T - 1)]] = vals
         return vec
-
-    def scaled_by_degree(self, r):
-        """Dilation: multiply every degree-l coefficient by r^l."""
-        return TruncatedFockVector(
-            self.n, self.d, self.L,
-            {k: v * (r ** len(k.omega)) for k, v in self.coeffs.items()},
-        )
 
     def __repr__(self):
         return "TruncatedFockVector(n=%d, d=%d, L=%d, terms=%d)" % (
@@ -357,33 +331,6 @@ def fock_realization(h, y, scale=1.0):
     bstar[i, j * dim + vacuum] = 1.0
     b = np.conj(bstar).T
     return DescriptorRealization(a, b, c, y)
-
-
-def reshuffle(h):
-    """Rewrite h as an n x n table of free power series in d n^2 variables.
-
-    Entry (a, b) collects the coefficients h_{alpha a, beta b; omega} indexed
-    by words of letter-triples ((a_0, b_0, w_1), ..., (a_{l-1}, b_{l-1}, w_l)).
-    The map is a permutation of coefficients, hence isometric.
-    """
-    table = {(a, b): {} for a in range(1, h.n + 1) for b in range(1, h.n + 1)}
-    for idx, val in h.coeffs.items():
-        a, b = idx.alpha[-1], idx.beta[-1]
-        key = tuple(zip(idx.alpha[:-1], idx.beta[:-1], idx.omega))
-        table[(a, b)][key] = val
-    return table
-
-
-def unreshuffle(table, n, d, L):
-    """Inverse of :func:`reshuffle`."""
-    coeffs = {}
-    for (a, b), series in table.items():
-        for key, val in series.items():
-            alpha = tuple(t[0] for t in key) + (a,)
-            beta = tuple(t[1] for t in key) + (b,)
-            omega = tuple(t[2] for t in key)
-            coeffs[(alpha, beta, omega)] = val
-    return TruncatedFockVector(n, d, L, coeffs)
 
 
 def coeffs_from_nc_function(func, y, L, r=1.0):

@@ -37,10 +37,8 @@ from .core import (MatrixTuple, decode_complex, encode_complex, graph_depth, jso
 
 __all__ = [
     "MatrixLinearMap",
-    "apply",
     "ampliated_apply",
     "word_apply",
-    "adjoint_word_apply",
     "cb_row_norm_bound",
 ]
 
@@ -147,7 +145,8 @@ class MatrixLinearMap:
         return self.stack[u * self.out_rows:(u + 1) * self.out_rows]
 
     def apply(self, j, g):
-        """A_j(G): the level-1 ampliation with G in letter j and zero elsewhere."""
+        """A_j(G): the level-1 ampliation with G in letter j and zero elsewhere, sparse
+        for a sparse map."""
         g = np.asarray(g, dtype=np.complex128)
         if g.shape != (self.n, self.n):
             raise ValueError("argument must be %d x %d, got %s" % (self.n, self.n, g.shape))
@@ -229,11 +228,6 @@ class MatrixLinearMap:
                                   where + ".coeffs"))
 
 
-def apply(a, j, g):
-    """A_j(G) = sum_{p,q} G[p,q] A_j(E_pq); sparse maps return sparse results."""
-    return a.apply(j, g)
-
-
 def ampliated_apply(a, x):
     """The m-fold ampliation sum_j (id_m (x) A_j)(X_j) on C^m (x) C^N.
 
@@ -298,19 +292,6 @@ def word_apply(a, word, args):
     prod = a.apply(word[0], args[0])
     for letter, g in zip(word[1:], args[1:]):
         prod = prod @ a.apply(letter, g)
-    return prod
-
-
-def adjoint_word_apply(a, word, args):
-    """A_{i_l}(G_l^*)^* ... A_{i_1}(G_1^*)^*; empty word gives I_N."""
-    if a.out_rows != a.out_cols:
-        raise ValueError("word products need square-valued maps")
-    if len(word) != len(args):
-        raise ValueError("word of length %d got %d arguments" % (len(word), len(args)))
-    star = a.adjoint()
-    prod = np.eye(a.out_rows, dtype=np.complex128)
-    for letter, g in zip(word, args):
-        prod = star.apply(letter, np.asarray(g).T) @ prod   # A_j(G^*)^* = A^*_j(G^T)
     return prod
 
 

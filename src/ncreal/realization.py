@@ -61,13 +61,13 @@ block; a map with one block takes one LU of the whole pencil.  This is safe
 wherever the test passed, by certificate or by SVD: for block triangular M,
 (M^{-1})_ii = M_ii^{-1}, so sigma_min(M_ii) >= sigma_min(M), while
 sigma_max(M_ii) <= sigma_max(M), and every diagonal block passes the test
-that the pencil passed.  :func:`series_transfer` is the finite sum with
-K = terms + 1.
+that the pencil passed.
 
 :func:`pencil`, :func:`pencil_sigma` and :func:`pole_order` stay exact; they
 are the only paths that take an SVD of the pencil.  The map's cb bound takes
 one batched SVD of its units, once per map.  A dense copy of a sparse T
-is refused with ValueError above ALLOCATION_CAP entries.
+is refused with ValueError above ALLOCATION_CAP entries, and so is a dense
+pencil with an entry that overflowed, before any SVD reads it.
 """
 
 import math
@@ -106,7 +106,6 @@ __all__ = [
     "transfer",
     "transfer_fm",
     "moment",
-    "series_transfer",
     "pole_order",
     "load_realization",
     "save_realization",
@@ -314,10 +313,20 @@ def _identity_minus(t):
     return t
 
 
+def _dense_pencil(t):
+    """I - t as a dense array, in t's own buffer when t is dense.  ValueError when an
+    entry overflowed, before an SVD or LU reads it."""
+    p = _identity_minus(_dense(t))
+    if not np.isfinite(p).all():
+        raise ValueError("the pencil I - A(X - I_m (x) Y) overflows to non-finite entries")
+    return p
+
+
 def pencil(r, x):
     """L_A(X - I_m (x) Y) = I_{mN} - sum_j (id_m (x) A_j)(X_j - I_m (x) Y_j), dense
-    (ValueError when a sparse map's (mN)^2 entries exceed ALLOCATION_CAP)."""
-    return _identity_minus(_dense(ampliated_apply(r.A, deviation_from_centre(x, r.Y))))
+    (ValueError when a sparse map's (mN)^2 entries exceed ALLOCATION_CAP, or when an
+    entry overflows)."""
+    return _dense_pencil(ampliated_apply(r.A, deviation_from_centre(x, r.Y)))
 
 
 def pencil_sigma(r, x):
@@ -427,17 +436,11 @@ def _decide(r, x):
     if bounds is not None:
         verdict = Evaluation(None, True, bounds[0], bounds[1], "certificate")
         return h, coeffs, t, index, None, verdict
-    p = _identity_minus(_dense(t))
+    p = _dense_pencil(t)
     del t
     smin, smax = singular_value_range(p)
     verdict = Evaluation(None, passes_invertibility(smin, smax), smin, smax, "svd")
     return h, coeffs, None, None, p, verdict
-
-
-def _decided_pencil(r, x):
-    """The dense pencil at X and the kernel's verdict on it, with T built once."""
-    _, _, t, _, p, verdict = _decide(r, x)
-    return (_identity_minus(_dense(t)) if p is None else p), verdict
 
 
 # Adjacent strong components of a dense map merge into diagonal blocks of at
@@ -555,17 +558,6 @@ def moment(r, word, args):
         raise ValueError("word of length %d got %d arguments" % (len(word), len(args)))
     w = word_apply(r.A, word, args)
     return np.conj(r.b).T @ (w @ r.c)
-
-
-def series_transfer(r, x, terms):
-    """The value rule with (I - T)^{-1} replaced by I + T + ... + T^terms, for a
-    descriptor or FM realization; a sparse T stays sparse.  No domain condition
-    is required.  The sum converges as ``terms`` grows when column_norm(X - I_m (x) Y)
-    < 1/||A||_cb, and it is exact once terms + 1 reaches A.nilpotency_index.
-    """
-    h = deviation_from_centre(x, r.Y)
-    coeffs = _unit_coefficients(h)
-    return _value(r, coeffs, h.level_m, _ampliate(r.A, coeffs, h.level_m), terms + 1)
 
 
 def pole_order(r, x):

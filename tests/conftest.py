@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ncreal.core import (
     CentrePoint,
@@ -18,8 +19,9 @@ from ncreal.core import (
     deviation_from_centre,
 )
 from ncreal.linmap import MatrixLinearMap, ampliated_apply
-from ncreal.realization import DescriptorRealization, in_domain
+from ncreal.realization import DescriptorRealization, FMRealization, in_domain
 from ncreal.algebra import fm_to_desc
+from ncreal.fock import TruncatedFockVector
 from ncreal.parser import (
     Inverse,
     Negate,
@@ -78,6 +80,47 @@ def direct_sum_desc(r1, r2):
         MatrixLinearMap(a), np.vstack([r1.b, r2.b]), np.vstack([r1.c, r2.c]), r1.Y)
 
 
+def direct_sum(x, z):
+    """Componentwise block-diagonal direct sum of two tuples; levels add."""
+    if x.d != z.d or x.base_n != z.base_n:
+        raise ValueError("direct sum needs matching centre data: %r vs %r" % (x, z))
+    comps = [scipy.linalg.block_diag(a, b) for a, b in zip(x.components, z.components)]
+    return MatrixTuple(comps, x.base_n)
+
+
+def all_words(d, max_len):
+    """All words of length 0..max_len on the letters 1..d, as tuples, in
+    length-then-lexicographic order."""
+    words = level = [()]
+    for _ in range(max_len):
+        level = [w + (j,) for w in level for j in range(1, d + 1)]
+        words = words + level
+    return words
+
+
+def series_transfer(r, x, terms):
+    """The value of a descriptor or FM realization with (I - T)^{-1} replaced by
+    I + T + ... + T^terms, summed term by term from T = ampliated_apply(A, H); a
+    sparse T stays sparse.  Shares no code with the evaluation kernel."""
+    h = deviation_from_centre(x, r.Y)
+    eye = np.eye(x.level_m)
+    fm = isinstance(r, FMRealization)
+    t = ampliated_apply(r.A, h)
+    term = total = ampliated_apply(r.B, h) if fm else np.kron(eye, r.c)
+    for _ in range(terms):
+        term = t @ term
+        total = total + term
+    if fm:
+        return np.kron(eye, r.C) @ total + np.kron(eye, r.D)
+    return np.kron(eye, np.conj(r.b).T) @ total
+
+
+def scaled_by_degree(h, r):
+    """The dilation of a Fock vector: every degree-l coefficient times r^l."""
+    return TruncatedFockVector(h.n, h.d, h.L,
+                               {k: v * (r ** len(k.omega)) for k, v in h.coeffs.items()})
+
+
 def random_invertible(rng, size, spread=0.3):
     return np.eye(size, dtype=np.complex128) + cmat(rng, size, size, spread)
 
@@ -103,8 +146,6 @@ def block_graph_depth(h):
 
 def word_sum_transfer(r, x, max_len):
     """Reference word-by-word evaluation of the truncated transfer series."""
-    from ncreal.core import all_words
-
     dev = deviation_from_centre(x, r.Y)
     m = x.level_m
     factors = []

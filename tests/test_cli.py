@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import direct_sum_desc, random_centre
+from conftest import direct_sum_desc, random_centre, random_descriptor, scaled_by_degree
 
 import ncreal
 from ncreal import analysis
 from ncreal.analysis import is_minimal
 from ncreal.cli import SCHEMA_VERSION, _build_parser, main
-from ncreal.algebra import fm_to_desc
+from ncreal.algebra import coordinate_fm, fm_to_desc
 from ncreal.core import ALLOCATION_CAP, INVERTIBILITY_RTOL, CentrePoint, MatrixTuple
-from ncreal.realization import load_realization, save_realization
+from ncreal.linmap import MatrixLinearMap
+from ncreal.realization import (DescriptorRealization, FMRealization, load_realization,
+                                save_realization)
 from ncreal.fock import TruncatedFockVector
 
 
@@ -208,9 +210,8 @@ class TestFockCommand:
     @pytest.mark.parametrize("n,d,L", [(2, 2, 1), (1, 2, 3), (2, 1, 2), (1, 1, 0)])
     def test_file_bytes_equal_the_dilated_dense_path(self, tmp_path, capsys, n, d, L):
         # the file written with c read off the dict in one scatter is the file written
-        # with c = scaled_by_degree(1).to_dense(), byte for byte
+        # with c = scaled_by_degree(h, 1).to_dense(), byte for byte
         from ncreal.fock import fock_basis, fock_realization
-        from ncreal.realization import DescriptorRealization
 
         rng = np.random.default_rng([n, d, L, 3])
         random_centre(rng, n, d).dump(tmp_path / "centre.json")
@@ -222,7 +223,7 @@ class TestFockCommand:
         h = TruncatedFockVector.load(tmp_path / "h.json")
         y = CentrePoint.load(tmp_path / "centre.json")
         r = fock_realization(h, y)
-        c = np.kron(np.eye(n), h.scaled_by_degree(1.0).to_dense()[:, None])
+        c = np.kron(np.eye(n), scaled_by_degree(h, 1.0).to_dense()[:, None])
         save_realization(DescriptorRealization(r.A, r.b, c, y), tmp_path / "want.json")
         assert code == 0
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
@@ -576,17 +577,60 @@ def test_level_zero_point_exits_two_naming_the_field(workdir, capsys, command, f
     assert not (workdir / "never.json").exists()
 
 
-def test_error_is_one_line_on_stderr_of_the_process(tmp_path):
-    # in a real process, where no test harness captures the logging module's output
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "fm", "A": 5}')
+def ncreal_process(*argv):
+    """``ncreal <argv>`` in a process of its own, where no test harness captures the
+    logging module's output, numpy's warnings or what LAPACK prints."""
     env = {k: v for k, v in os.environ.items() if k != "NCREAL_LOG"}
     src = os.path.dirname(os.path.dirname(ncreal.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "ncreal.cli", "certify", str(bad)],
+    return subprocess.run([sys.executable, "-m", "ncreal.cli", *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_error_is_one_line_on_stderr_of_the_process(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "fm", "A": 5}')
+    proc = ncreal_process("certify", bad)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: %s: realization.A must be a JSON object, got 5\n" % bad
+
+
+def overflowing_files(root):
+    """Files whose arithmetic overflows: a generic n = d = 2, N = 3 descriptor
+    realization with A scaled by 1e150, whose Lost-Abbey products overflow; an
+    n = d = 1 map with entry 1e300 or 1e308, whose pencil overflows at X = 1e10 or
+    at sampled points; an FM coordinate with B scaled by 1e300, whose value
+    overflows at X = 1e10 while the pencil, I, is certified."""
+    r = random_descriptor(np.random.default_rng(5), 2, 3, 2)
+    save_realization(DescriptorRealization(r.A.scaled(1e150), r.b, r.c, r.Y),
+                     root / "lac.json")
+    zero = CentrePoint([np.zeros((1, 1))])
+    for name, entry in (("pencil.json", 1e300), ("sampled.json", 1e308)):
+        a = MatrixLinearMap(np.full((1, 1, 1, 1, 1), entry, dtype=complex))
+        save_realization(DescriptorRealization(a, np.ones((1, 1)), np.ones((1, 1)), zero),
+                         root / name)
+    fm = coordinate_fm(1, zero)
+    save_realization(FMRealization(fm.A, fm.B.scaled(1e300), fm.C, fm.D, zero),
+                     root / "value.json")
+    CentrePoint([np.array([[1e10]])]).dump(root / "far.json")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "lac.json"], "the Lost-Abbey residual overflows to non-finite entries"),
+    (["eval", "pencil.json", "far.json"],
+     "the pencil I - A(X - I_m (x) Y) overflows to non-finite entries"),
+    (["translate", "pencil.json", "far.json", "--out", "never.json"],
+     "the pencil I - A(X - I_m (x) Y) overflows to non-finite entries"),
+    (["domain-sample", "sampled.json", "--samples", "3", "--seed", "0"],
+     "the pencil I - A(X - I_m (x) Y) overflows to non-finite entries"),
+    (["eval", "value.json", "far.json"], "the value at X overflows to non-finite entries"),
+], ids=["certify", "eval-pencil", "translate", "domain-sample", "eval-value"])
+def test_overflow_exits_two_in_one_line(tmp_path, argv, message):
+    # no NaN or inf becomes a verdict, a report or a warning on the way
+    overflowing_files(tmp_path)
+    proc = ncreal_process(*[tmp_path / a if a.endswith(".json") else a for a in argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % message)
+    assert not (tmp_path / "never.json").exists()
 
 
 class TestFileFormat:

@@ -4,26 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import cmat, random_centre, random_tuple, unit_column_tuple
+from conftest import (all_words, cmat, direct_sum, random_centre, random_tuple,
+                      unit_column_tuple)
 
 from ncreal.core import (
     CentrePoint,
     MatrixTuple,
     SingularMatrixError,
-    all_words,
     ampliate,
     apply_similarity,
     column_norm,
     decode_complex,
     deviation_from_centre,
-    direct_sum,
     encode_complex,
     solve_refined,
-    word_transpose,
 )
 
 
 class TestWords:
+    """The word enumeration that the tests' word-by-word oracles run on."""
+
     def test_small_enumerations(self):
         assert all_words(2, 1) == [(), (1,), (2,)]
         assert len(all_words(2, 2)) == 7
@@ -32,17 +32,6 @@ class TestWords:
     def test_order_is_length_then_lex(self):
         ws = all_words(2, 2)
         assert ws == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
-
-    def test_transpose_involution_bulk(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            w = tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(0, 9)))
-            assert word_transpose(word_transpose(w)) == w
-
-    @given(st.lists(st.integers(min_value=1, max_value=5), max_size=12))
-    def test_transpose_involution(self, letters):
-        w = tuple(letters)
-        assert word_transpose(word_transpose(w)) == w
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=5))
     @settings(deadline=None)

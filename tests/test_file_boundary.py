@@ -8,8 +8,9 @@ through ``eval``, ``equiv``, ``minimize`` and ``certify``, a mutated point
 through ``eval``, a mutated Fock file through ``fock`` and a mutated
 constants file through ``realize --constants``.  Valid JSON nested 200,000
 deep (lists, objects, or both) goes in every JSON argument of every
-command.  Every run must exit 2 with one line on standard error and no
-traceback; a message about a file names it.
+command, and so does a file with one [re, im] pair set to [true, false].
+Every run must exit 2 with one line on standard error and no traceback; a
+message about a file names it.
 """
 
 import contextlib
@@ -223,6 +224,42 @@ def test_deeply_nested_file_exits_two(files, deep, argv):
         assert_refused(code, out, err, (argv, path.name))
         assert str(path) in err
         assert not (root / "never.json").exists()
+
+
+def first_pair_to_booleans(obj):
+    """``obj`` with its first [re, im] pair of floats, depth first, set to [true, false]
+    in place; None when it has no such pair."""
+    if isinstance(obj, list) and len(obj) == 2 and all(isinstance(v, float) for v in obj):
+        return [True, False]
+    if not isinstance(obj, (dict, list)):
+        return None
+    for key in sorted(obj) if isinstance(obj, dict) else range(len(obj)):
+        value = first_pair_to_booleans(obj[key])
+        if value is not None:
+            obj[key] = value
+            return obj
+    return None
+
+
+BOOLEAN_SOURCE = {"eval-realization": "fm", "eval-point": "point", "equiv": "desc",
+                  "minimize": "fm", "certify": "desc", "translate-realization": "desc",
+                  "translate-point": "point", "fock-vector": "fock", "fock-centre": "centre",
+                  "domain-sample": "fm", "realize-centre": "centre",
+                  "realize-constants": "consts"}
+
+
+@pytest.mark.parametrize("argv,source", [(DEEP_ARGV[k], BOOLEAN_SOURCE[k]) for k in DEEP_ARGV],
+                         ids=list(DEEP_ARGV))
+def test_boolean_entry_exits_two_naming_the_file(files, argv, source):
+    # a reader of real numbers would take true and false as 1.0 and 0.0
+    root, _ = files
+    obj = first_pair_to_booleans(json.loads((root / (source + ".json")).read_text()))
+    bad = root / "boolean.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = cli(*with_file(argv, root, bad))
+    assert_refused(code, out, err, argv)
+    assert err == "error: %s: holds true or false; no file format has a boolean\n" % bad
+    assert not (root / "never.json").exists()
 
 
 MALFORMED = [b"", b"{not json", b"\xff\xfe[1]", b"[1, 2", b"\x00", b'{"a": NaN}',

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cmat, point_near_centre, random_centre, unit_column_tuple, unit_keys
+from conftest import (all_words, cmat, point_near_centre, random_centre, scaled_by_degree,
+                      series_transfer, unit_column_tuple, unit_keys)
 
-from ncreal.core import CentrePoint, MatrixTuple, all_words, ampliate, column_norm
+from ncreal.core import CentrePoint, MatrixTuple, ampliate, column_norm
 from ncreal.linmap import cb_row_norm_bound
-from ncreal.realization import evaluate, pencil, series_transfer, transfer
+from ncreal.realization import evaluate, pencil, transfer
 from ncreal.algebra import fm_to_desc
 from ncreal.analysis import analytically_equivalent, kalman_minimize
 from ncreal.parser import eval_expression, parse, realize_expression
@@ -16,7 +17,6 @@ from ncreal import core, fock
 from ncreal.fock import (
     FockBasisIndex,
     TruncatedFockVector,
-    basis_position,
     coeffs_from_nc_function,
     eval_fock,
     flip_unitary,
@@ -26,10 +26,13 @@ from ncreal.fock import (
     fock_realization,
     kernel_vector,
     left_creation,
-    reshuffle,
     right_creation,
-    unreshuffle,
 )
+
+
+def degree_mass(h, ell):
+    """Sum of |coefficient|^2 over the indices of h with |omega| = ell."""
+    return sum(abs(v) ** 2 for k, v in h.coeffs.items() if len(k.omega) == ell)
 
 
 def per_word_coeffs(func, y, L, r=1.0):
@@ -184,13 +187,12 @@ class TestLiteralLayout:
     def test_basis_and_positions(self, n, d, L):
         basis = literal_basis(n, d, L)
         assert fock_basis(n, d, L) == basis
-        assert basis_position(n, d, L) == {idx: k for k, idx in enumerate(basis)}
         assert fock_dim(n, d, L) == len(basis)
         rng = np.random.default_rng(n * 100 + d * 10 + L)
         h = random_fock_vector(rng, n, d, L, density=0.5)
         expected = np.zeros(len(basis), dtype=np.complex128)
         for k, idx in enumerate(basis):
-            expected[k] = h.coeff(idx.alpha, idx.beta, idx.omega)
+            expected[k] = h.coeffs.get(idx, 0j)
         assert np.array_equal(h.to_dense(), expected)
 
     @pytest.mark.parametrize("n,d,L", FOCK_GRID)
@@ -237,13 +239,13 @@ class TestLiteralLayout:
             for i, j in itertools.product(range(1, n + 1), range(1, n + 1)):
                 bstar[i - 1, (j - 1) * dim + position[FockBasisIndex((i,), (j,), ())]] = 1.0
             assert np.array_equal(r.b, np.conj(bstar).T)
-            scaled = np.array([h.coeff(idx.alpha, idx.beta, idx.omega) * scale ** len(idx.omega)
+            scaled = np.array([h.coeffs.get(idx, 0j) * scale ** len(idx.omega)
                                for idx in basis], dtype=np.complex128)
             assert np.array_equal(r.c, np.kron(np.eye(n), scaled[:, None]))
 
     @pytest.mark.parametrize("n,d,L", FOCK_GRID)
     def test_c_is_the_dilated_dense_vector_to_the_bit(self, n, d, L):
-        # c equals the scaled_by_degree(...).to_dense() construction, signed zeros
+        # c equals the dilated vector's to_dense(), signed zeros
         # included, since they reach a saved file's bytes
         rng = np.random.default_rng(n * 100 + d * 10 + L + 2)
         y = random_centre(rng, n, d)
@@ -253,7 +255,7 @@ class TestLiteralLayout:
             h.coeffs[idx] = v
         for scale in (1.0, 2.0, 0.3):
             r = fock_realization(h, y, scale)
-            c = np.kron(np.eye(n), h.scaled_by_degree(scale).to_dense()[:, None])
+            c = np.kron(np.eye(n), scaled_by_degree(h, scale).to_dense()[:, None])
             assert np.array_equal(r.c, c) and r.c.tobytes() == c.tobytes()
             bstar = np.zeros((n, n * fock_dim(n, d, L)))
             for i, j in itertools.product(range(n), range(n)):
@@ -277,7 +279,6 @@ class TestLiteralLayout:
         expected = eval_fock(h, x, y)
         monkeypatch.setattr(scipy.sparse, "kron", kron)
         monkeypatch.setattr(fock, "fock_basis", refuse)
-        monkeypatch.setattr(fock, "basis_position", refuse)
         r = fock_realization(h, y)
         value = transfer(r, x)
         monkeypatch.undo()
@@ -339,7 +340,8 @@ class TestEvalFock:
         dev = [x.components[j] - np.kron(np.eye(2), y.components[j]) for j in range(d)]
         expected = np.zeros((2, 2), dtype=complex)
         for word in all_words(d, L):
-            coef = h.coeff((1,) * (len(word) + 1), (1,) * (len(word) + 1), word)
+            ones = (1,) * (len(word) + 1)
+            coef = h.coeffs.get(FockBasisIndex(ones, ones, word), 0j)
             if coef == 0:
                 continue
             prod = np.eye(2, dtype=complex)
@@ -389,7 +391,7 @@ class TestKernelVector:
         k = kernel_vector(n, d, L, x, y_vec, v_vec)
         nx = column_norm(x)
         for ell in range(L + 1):
-            mass = k.degree_mass(ell)
+            mass = degree_mass(k, ell)
             bound = (n ** ell) * nx ** (2 * ell) * \
                 np.linalg.norm(xv) ** 2 * np.linalg.norm(uv) ** 2
             assert mass <= bound * (1 + 1e-12)
@@ -553,29 +555,6 @@ class TestFockRealization:
         assert_allclose(transfer(r2, x), transfer(r1, x), rtol=1e-10, atol=1e-12)
 
 
-class TestReshuffle:
-    def test_single_basis_vector_single_monomial(self):
-        h = TruncatedFockVector(2, 2, 2, {((1, 2, 1), (2, 2, 1), (1, 2)): 3.0})
-        table = reshuffle(h)
-        nonzero = {key: series for key, series in table.items() if series}
-        assert set(nonzero) == {(1, 1)}
-        series = nonzero[(1, 1)]
-        assert series == {((1, 2, 1), (2, 2, 2)): 3.0}
-
-    def test_isometric(self):
-        rng = np.random.default_rng(9)
-        h = random_fock_vector(rng, 2, 2, 2)
-        table = reshuffle(h)
-        mass = sum(abs(v) ** 2 for series in table.values() for v in series.values())
-        assert mass == pytest.approx(h.norm() ** 2, rel=1e-14)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(10)
-        h = random_fock_vector(rng, 2, 2, 2)
-        back = unreshuffle(reshuffle(h), 2, 2, 2)
-        assert back.coeffs == h.coeffs
-
-
 class TestCoeffsFromNcFunction:
     @pytest.mark.parametrize("r", [1.0, 0.5])
     @pytest.mark.parametrize("n, d, L", [(1, 1, 3), (1, 2, 4), (1, 3, 3), (2, 1, 2),
@@ -698,7 +677,7 @@ class TestCoeffsFromNcFunction:
             coeffs_from_nc_function(refuse, y, 2)
         monkeypatch.setattr(core, "ALLOCATION_CAP", fock_dim(2, 2, 2))
         h = coeffs_from_nc_function(lambda x: np.kron(np.eye(x.level_m), np.eye(2)), y, 2)
-        assert h.L == 2 and h.coeff((1,), (1,), ()) == 1.0
+        assert h.L == 2 and h.coeffs[FockBasisIndex((1,), (1,), ())] == 1.0
 
     def test_constant_gives_vacuum_expansion(self):
         rng = np.random.default_rng(11)
@@ -726,7 +705,7 @@ class TestCoeffsFromNcFunction:
         y = random_centre(rng, 2, 2)
         e = parse("(x1)*(x2)", 2)
         h = coeffs_from_nc_function(lambda x: eval_expression(e, x), y, 3)
-        assert h.degree_mass(3) < 1e-24
+        assert degree_mass(h, 3) < 1e-24
 
 
 class TestRadiusLemmaBound:
@@ -742,7 +721,7 @@ class TestRadiusLemmaBound:
             r = cb_row_norm_bound(desc.A)
             bc = np.linalg.norm(desc.b, 2) * np.linalg.norm(desc.c, 2)
             for ell in range(1, 4):
-                mass = h.degree_mass(ell)
+                mass = degree_mass(h, ell)
                 if mass == 0:
                     continue
                 lhs = mass ** (1.0 / (2 * ell))

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncreal
-from ncreal.core import MAX_JSON_DEPTH, _json_depth_bound, read_json
+from ncreal.core import MAX_JSON_DEPTH, _json_depth_bound, _json_outline, read_json
 
 TRICKY = st.text(alphabet='[]{}"\\ab\n', max_size=8)
 VALUES = st.recursive(
@@ -56,7 +56,7 @@ def test_depth_bound_is_the_depth_or_one_more(value, nest):
         value = [value, {"[": value}]
     true = depth(value)
     for data in (json.dumps(value).encode(), orjson.dumps(value)):
-        assert true <= _json_depth_bound(data) <= true + 1, data
+        assert true <= _json_depth_bound(_json_outline(data)) <= true + 1, data
 
 
 @pytest.mark.parametrize("head,core,tail", [("[", "", "]"), ('{"a":', "1", "}"),
@@ -97,7 +97,7 @@ def test_json_at_the_limit_loads_in_a_small_thread_stack(tmp_path):
     # exactly the limit, which the true depth also reaches
     half = MAX_JSON_DEPTH // 2 - 1
     data = ('[{"a":' * half + '{"a":[1]}' + "}]" * half).encode()
-    assert depth(json.loads(data)) == _json_depth_bound(data) == MAX_JSON_DEPTH
+    assert depth(json.loads(data)) == _json_depth_bound(_json_outline(data)) == MAX_JSON_DEPTH
     path = tmp_path / "limit.json"
     path.write_bytes(data)
     proc = child("""

@@ -8,14 +8,7 @@ from conftest import (cmat, random_centre, random_linmap, random_tuple, unit_col
                       unit_keys)
 
 from ncreal.core import MatrixTuple, ampliate, column_norm, eye_kron, matrix_units
-from ncreal.linmap import (
-    MatrixLinearMap,
-    adjoint_word_apply,
-    ampliated_apply,
-    apply,
-    cb_row_norm_bound,
-    word_apply,
-)
+from ncreal.linmap import MatrixLinearMap, ampliated_apply, cb_row_norm_bound, word_apply
 
 
 def identity_map(n, d=1):
@@ -29,13 +22,13 @@ class TestApply:
     def test_zero_argument(self):
         rng = np.random.default_rng(0)
         a = random_linmap(rng, 2, 2, 3)
-        assert_allclose(apply(a, 1, np.zeros((2, 2))), np.zeros((3, 3)))
+        assert_allclose(a.apply(1, np.zeros((2, 2))), np.zeros((3, 3)))
 
     def test_identity_map(self):
         rng = np.random.default_rng(1)
         a = identity_map(3)
         g = cmat(rng, 3, 3)
-        assert_allclose(apply(a, 1, g), g)
+        assert_allclose(a.apply(1, g), g)
 
     def test_matrix_unit_expansion_oracle(self):
         rng = np.random.default_rng(2)
@@ -44,14 +37,14 @@ class TestApply:
         expected = np.zeros((3, 3), dtype=np.complex128)
         units = matrix_units(2)
         for p, q in np.ndindex(2, 2):
-            expected += g[p, q] * apply(a, 2, units[p, q])
-        assert_allclose(apply(a, 2, g), expected, atol=1e-14)
+            expected += g[p, q] * a.apply(2, units[p, q])
+        assert_allclose(a.apply(2, g), expected, atol=1e-14)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
         a = random_linmap(rng, 2, 2, 3)
         with pytest.raises(ValueError):
-            apply(a, 1, np.zeros((3, 3)))
+            a.apply(1, np.zeros((3, 3)))
 
 
 class TestAmpliatedApply:
@@ -65,7 +58,7 @@ class TestAmpliatedApply:
         rng = np.random.default_rng(5)
         a = random_linmap(rng, 2, 2, 3)
         x = random_tuple(rng, 2, 1, 2)
-        expected = sum(apply(a, j, x.component(j)) for j in (1, 2))
+        expected = sum(a.apply(j, x.component(j)) for j in (1, 2))
         assert_allclose(ampliated_apply(a, x), expected, atol=1e-14)
 
     def test_blockwise_on_ampliation(self):
@@ -73,7 +66,7 @@ class TestAmpliatedApply:
         a = random_linmap(rng, 2, 2, 3)
         y = random_centre(rng, 2, 2)
         x = ampliate(y, 2)
-        inner = sum(apply(a, j, y.component(j)) for j in (1, 2))
+        inner = sum(a.apply(j, y.component(j)) for j in (1, 2))
         assert_allclose(ampliated_apply(a, x), np.kron(np.eye(2), inner), atol=1e-14)
 
     def test_base_mismatch(self):
@@ -158,14 +151,14 @@ class TestWordApply:
         rng = np.random.default_rng(9)
         a = random_linmap(rng, 2, 2, 3)
         g = cmat(rng, 2, 2)
-        assert_allclose(word_apply(a, (2,), [g]), apply(a, 2, g))
+        assert_allclose(word_apply(a, (2,), [g]), a.apply(2, g))
 
     def test_two_factor_oracle(self):
         rng = np.random.default_rng(10)
         a = random_linmap(rng, 2, 2, 3)
         g1, g2 = cmat(rng, 2, 2), cmat(rng, 2, 2)
         assert_allclose(word_apply(a, (1, 2), [g1, g2]),
-                        apply(a, 1, g1) @ apply(a, 2, g2), atol=1e-13)
+                        a.apply(1, g1) @ a.apply(2, g2), atol=1e-13)
 
     def test_concatenation_splits(self):
         rng = np.random.default_rng(11)
@@ -185,28 +178,31 @@ class TestWordApply:
             word_apply(a, (1, 2), [np.eye(2)])
 
 
-class TestAdjointWordApply:
+class TestAdjointWords:
+    """Words of the adjoint map: A_{i_l}(G_l^*)^* ... A_{i_1}(G_1^*)^*, that is
+    (A^w(G^*))^*, is the reversed word of a.adjoint() at the transposed arguments,
+    since A_j(G^*)^* = A^*_j(G^T)."""
+
     def test_empty_word(self):
         rng = np.random.default_rng(13)
         a = random_linmap(rng, 2, 2, 3)
-        assert_allclose(adjoint_word_apply(a, (), []), np.eye(3))
+        assert_allclose(word_apply(a.adjoint(), (), []), np.eye(3))
 
     def test_single_letter_definition(self):
         rng = np.random.default_rng(14)
         a = random_linmap(rng, 2, 2, 3)
         g = cmat(rng, 2, 2)
-        expected = np.conj(apply(a, 1, np.conj(g).T)).T
-        assert_allclose(adjoint_word_apply(a, (1,), [g]), expected, atol=1e-14)
+        expected = np.conj(a.apply(1, np.conj(g).T)).T
+        assert_allclose(word_apply(a.adjoint(), (1,), [g.T]), expected, atol=1e-14)
 
     def test_definitional_oracle_length_three(self):
-        # A^{w;+}(G) = (A^w(G*))* computed through the explicit reversed product
         rng = np.random.default_rng(15)
         a = random_linmap(rng, 2, 2, 3)
         word = (2, 1, 2)
         args = [cmat(rng, 2, 2) for _ in word]
-        starred = [np.conj(g).T for g in args]
-        expected = np.conj(word_apply(a, word, starred)).T
-        assert_allclose(adjoint_word_apply(a, word, args), expected, atol=1e-14)
+        expected = np.conj(word_apply(a, word, [np.conj(g).T for g in args])).T
+        assert_allclose(word_apply(a.adjoint(), word[::-1], [g.T for g in args[::-1]]),
+                        expected, atol=1e-14)
 
 
 class TestCbRowNormBound:

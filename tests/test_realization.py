@@ -15,6 +15,7 @@ from conftest import (
     random_descriptor,
     random_invertible,
     random_linmap,
+    series_transfer,
     unit_column_tuple,
     word_sum_transfer,
 )
@@ -26,7 +27,6 @@ from ncreal.core import (
     SingularMatrixError,
     ampliate,
     apply_similarity,
-    direct_sum,
     passes_invertibility,
 )
 from ncreal.linmap import MatrixLinearMap, _unit_coefficients, ampliated_apply, cb_row_norm_bound
@@ -41,7 +41,6 @@ from ncreal.realization import (
     pencil_sigma,
     pole_order,
     save_realization,
-    series_transfer,
     transfer,
     transfer_fm,
 )
