@@ -14,6 +14,12 @@ has controllable seed c and observable seed b, and restricts to
 (V*AV, V*b, V*c).  An FM realization (A, B, C, D) has the columns of every
 B_j(E_pq) and C*, and restricts to (V*AV, V*B, CV, D).
 
+The subspace grows from its frontier.  Each step images only the directions
+the step before added, since span_k = span_{k-1} + A(new_{k-1}) gives the
+span that imaging the whole basis would.  It cuts what is new against the
+largest image column norm formed so far, with a floor of 1, and the step that
+finds nothing new takes no QR.
+
 The four linearized Lost-Abbey conditions of a descriptor realization are one
 identity.  Take the left factors L in {b*, A_i(E_pq)} and the right factors R
 in {c, A_j(E_uv)}.  A matrix unit T = E_rs acts on them as
@@ -27,7 +33,7 @@ A_j) the second, (A_i, c) the third and (A_i, A_j) the fourth.
 """
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .core import (
     RANK_RTOL,
@@ -80,33 +86,75 @@ SWEEP_CHUNK_ENTRIES = 300000
 
 def _orth(m, scale=None):
     """Orthonormal basis of the column span: the pivoted-QR directions whose pivot
-    exceeds RANK_RTOL * ``scale``, by default the largest column norm of m."""
+    exceeds RANK_RTOL * ``scale``, by default the largest column norm of m.
+
+    LAPACK's zgeqp3 and zungqr are called directly, without the wrapper checks
+    and workspace queries of ``scipy.linalg.qr``, and zungqr forms only the kept
+    columns of Q.  ValueError when an entry of m is not finite.
+    """
     m = np.asarray(m, dtype=np.complex128)
-    if m.shape[1] == 0 or not np.any(m):
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    q, r, _ = scipy.linalg.qr(m, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))            # diag[0] > 0: the largest column norm
+    rows, cols = m.shape
+    if cols == 0 or not np.any(m):
+        return np.zeros((rows, 0), dtype=np.complex128)
+    if not np.isfinite(m).all():
+        raise ValueError("the columns of a subspace hold non-finite entries")
+    qr, _, tau, _, _ = scipy.linalg.lapack.zgeqp3(m, lwork=34 * (cols + 1))
+    diag = np.abs(qr.diagonal())          # diag[0] > 0: the largest column norm
     rank = int(np.count_nonzero(diag > RANK_RTOL * (diag[0] if scale is None else scale)))
-    return q[:, :rank]
+    if rank == 0:
+        return np.zeros((rows, 0), dtype=np.complex128)
+    return scipy.linalg.lapack.zungqr(qr[:, :rank], tau[:rank], lwork=32 * rank)[0]
+
+
+def _largest_column_norm(m):
+    """The largest 2-norm among the columns of m, taken on m over its largest entry
+    where the squares overflow; callers silence numpy's overflow warning.
+    ValueError when it is not finite."""
+    top = float(np.linalg.norm(m, axis=0).max(initial=0.0))
+    if not np.isfinite(top) and np.isfinite(m).all():   # the squares overflowed
+        big = max(np.abs(m.real).max(), np.abs(m.imag).max())
+        top = big * float(np.linalg.norm(m / big, axis=0).max())
+    if not np.isfinite(top):
+        raise ValueError("the images of a subspace overflow to non-finite entries")
+    return top
 
 
 def invariant_subspace(a, seed, steps=None):
     """Smallest subspace containing Ran(seed) and invariant under the units of the map a.
 
-    Iterates S <- S + sum_u A(u) S, so step k spans {A^w(units) seed : |w| <= k},
-    until the rank stabilizes (at most N steps) or after ``steps`` steps.
+    Step k spans {A^w(units) seed : |w| <= k}.  It is grown from its frontier, as
+    :func:`_grown` describes, until a step adds nothing (at most N steps) or
+    after ``steps`` steps.
     """
     return _grown(a, _orth(seed), steps)
 
 
+@np.errstate(over="ignore")   # an overflow meets _largest_column_norm
 def _grown(a, basis, steps=None):
-    """:func:`invariant_subspace` from the orthonormal basis of its seed."""
-    taken = 0
-    while 0 < basis.shape[1] < basis.shape[0] and (steps is None or taken < steps):
-        grown = _orth(np.hstack([basis, a.images(basis)]))
-        if grown.shape[1] == basis.shape[1]:
-            return grown
-        basis = grown
+    """:func:`invariant_subspace` from the orthonormal basis of its seed.
+
+    Grows from the frontier: step k images only the directions that step k - 1
+    added (at step 1, the seed's basis), since span_k = span_{k-1} +
+    A(new_{k-1}).  Those images are projected off the basis V twice (classical
+    Gram-Schmidt, two passes).  When no projected column exceeds RANK_RTOL *
+    scale, the span is invariant and the growth stops without a QR; otherwise
+    the step appends :func:`_orth` of them at that scale, projected off V once
+    more: the QR divides their roundoff along V by its pivots, and a pivot of
+    1e-3 left 1e-13 of it.  The scale is max(1, the largest image column norm
+    formed so far): the largest column norm among the orthonormal V and every
+    image of it.  ValueError when an image overflows.
+    """
+    new, scale, taken = basis, 1.0, 0
+    while new.shape[1] and basis.shape[1] < basis.shape[0] and (steps is None or taken < steps):
+        w = a.images(new)
+        scale = max(scale, _largest_column_norm(w))
+        for _ in range(2):
+            w -= basis @ (np.conj(basis).T @ w)
+        if not _largest_column_norm(w) > RANK_RTOL * scale:
+            break
+        new = _orth(w, scale)
+        new -= basis @ (np.conj(basis).T @ new)
+        basis = np.hstack([basis, new])
         taken += 1
     return basis
 
@@ -128,6 +176,7 @@ def is_minimal(r):
     return controllable_basis(r).shape[1] == r.N and observable_basis(r).shape[1] == r.N
 
 
+@np.errstate(over="ignore")   # an overflow meets _largest_column_norm
 def kalman_minimize(r):
     """Compress the realization to its minimal subspace; all moments are preserved.
 
@@ -139,7 +188,7 @@ def kalman_minimize(r):
     """
     vc = controllable_basis(r)
     vch = np.conj(vc).T
-    scale = np.linalg.norm(r.observable_seed, axis=0).max(initial=0.0)
+    scale = _largest_column_norm(r.observable_seed)
     vo = _grown(r.A.compressed(vch, vc).adjoint(), _orth(vch @ r.observable_seed, scale))
     return r.restricted(vc @ vo)
 
@@ -178,6 +227,7 @@ def translate(r, x):
 # linearized Lost-Abbey conditions
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow meets the checks below
 def llac_residual(r):
     """Worst Frobenius residual of the linearized Lost-Abbey conditions.
 
@@ -188,8 +238,10 @@ def llac_residual(r):
     the product L R and L R_T is T acting on its columns; past that shared
     product each T costs A([T, Y]) R and L (A([T, Y]) R).  The residual is
     the largest Frobenius norm among the (left, right) blocks.  A minimal
-    realization defines an NC function exactly when it vanishes.  ValueError
-    when a product overflows, so that no NaN or inf stands in for a residual.
+    realization defines an NC function exactly when it vanishes.  A residual
+    whose squared entries overflow is recomputed on the residual over its
+    largest entry and scaled back.  ValueError when an entry or the residual
+    itself overflows, so that no NaN or inf stands in for a residual.
     """
     n, d, nstate = r.n, r.d, r.N
     if nstate == 0:
@@ -209,6 +261,12 @@ def llac_residual(r):
         return out
 
     edges = np.concatenate([[0], np.arange(n, width, nstate)])
+
+    def block_norm_max(res):
+        sq = res.real ** 2 + res.imag ** 2
+        blocks = np.add.reduceat(np.add.reduceat(sq, edges, axis=0), edges, axis=1)
+        return float(np.sqrt(blocks.max()))
+
     lr = left_times(right)
     lr_rows = lr[n:].reshape(d, n, n, nstate, -1)       # A_i(E_pq) R
     lr_cols = lr[:, n:].reshape(-1, d, n, n, nstate)    # L A_j(E_uv)
@@ -225,9 +283,10 @@ def llac_residual(r):
             # L R_T: L c E_rs, and L A_j(E_rs E_uv) = [u = s] L A_j(E_rv)
             res[:, ss] -= lr[:, rr]
             res[:, n:].reshape(lr_cols.shape)[:, :, ss] -= lr_cols[:, :, rr]
-            sq = res.real ** 2 + res.imag ** 2
-            blocks = np.add.reduceat(np.add.reduceat(sq, edges, axis=0), edges, axis=1)
-            residual = float(np.sqrt(blocks.max()))
+            residual = block_norm_max(res)
+            if not np.isfinite(residual) and np.isfinite(res).all():   # squares overflowed
+                top = float(np.abs(res.view(np.float64)).max())
+                residual = top * block_norm_max(res / top)
             if not np.isfinite(residual):   # max() would keep worst over a NaN
                 raise ValueError("the Lost-Abbey residual overflows to non-finite entries")
             worst = max(worst, residual)

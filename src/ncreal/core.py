@@ -29,11 +29,12 @@ bound exceeds MAX_JSON_DEPTH = 64; the file formats nest at most 7 deep.
 The same bytes pass keeps the t and f that begin true and false, and
 read_json refuses them after the parse: no file format holds a boolean.
 tests/test_json_reader.py pins both facts about orjson.  load_json reads a
-file and decodes the object in it; a ValueError from either step names the
-file.
+file and decodes the object in it, with the cyclic garbage collector paused;
+a ValueError from either step names the file.
 """
 
 import array
+import gc
 import math
 from itertools import chain
 
@@ -541,9 +542,21 @@ def read_json(path):
 
 def load_json(path, decode):
     """``decode(read_json(path))``; a ValueError from ``decode`` is raised again with
-    the file's name in front of its message."""
-    obj = read_json(path)
+    the file's name in front of its message.
+
+    The cyclic garbage collector is paused for the read and the decode, and
+    re-enabled afterwards unless the caller had disabled it.  A file's tree of
+    lists and floats would otherwise set off dozens of collections that find
+    nothing: orjson's trees are acyclic, so reference counting frees them.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return decode(obj)
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from None
+        obj = read_json(path)
+        try:
+            return decode(obj)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
+    finally:
+        if enabled:
+            gc.enable()

@@ -508,13 +508,19 @@ def evaluate(r, x):
     The test and the value follow the module docstring; outside the domain,
     value is None.  decided_by is "certificate" when sigma_min and sigma_max
     are the certified bounds, "svd" when they are the exact singular values.
+    Raises ValueError when the value overflows to non-finite entries inside
+    the domain, as R = B(H) or the product with C can, however well the
+    pencil is conditioned.
     """
     h, coeffs, t, index, p, verdict = _decide(r, x)
     if not verdict.in_domain:
         return verdict
     if index is None:   # the pencil I - T, in T's own buffer when T is dense
         t = _identity_minus(t) if p is None else p
-    return verdict._replace(value=_value(r, coeffs, h.level_m, t, index))
+    value = _value(r, coeffs, h.level_m, t, index)
+    if not np.isfinite(value).all():
+        raise ValueError("the value at X overflows to non-finite entries")
+    return verdict._replace(value=value)
 
 
 def in_domain(r, x):

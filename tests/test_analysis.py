@@ -1,7 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -120,6 +123,114 @@ class TestSubspaces:
         r = random_descriptor(rng, 2, 4, 2, scale=0.5)
         v = controllable_basis(r)
         assert_allclose(np.conj(v).T @ v, np.eye(v.shape[1]), atol=1e-12)
+
+
+def map_with_invariant_subspace(rng, d, n, size, inner, sparse=False):
+    """A random map on C^size whose units Q [[X, W], [0, Z]] Q* all leave the span of
+    the first ``inner`` columns of Q invariant, and that Q.  Q is a random unitary,
+    or for a CSR map a random permutation, whose blocks keep about half their entries."""
+    blocks = cmat(rng, d * n * n * size, size, 0.5).reshape(-1, size, size)
+    blocks[:, inner:, :inner] = 0.0
+    if sparse:
+        blocks[rng.random(blocks.shape) < 0.5] = 0.0
+        q = np.eye(size)[rng.permutation(size)]
+    else:
+        q = np.linalg.qr(cmat(rng, size, size))[0]
+    units = (q @ blocks @ np.conj(q).T).reshape(-1, size)
+    if sparse:
+        return MatrixLinearMap(scipy.sparse.csr_matrix(units), d, n), q
+    return MatrixLinearMap(units.reshape(d, n, n, size, size)), q
+
+
+def word_span_projector(a, seed, steps):
+    """The oracle: the orthogonal projector onto the span of A^w(units) seed over
+    |w| <= steps, from one SVD of those columns, each word applied unit by unit."""
+    units = [a.unit(j, p, q) for j, p, q in unit_keys(a)]
+    units = [u.toarray() if scipy.sparse.issparse(u) else u for u in units]
+    level, columns = [seed], [seed]
+    for _ in range(steps):
+        level = [u @ w for u in units for w in level]
+        columns += level
+    u, s, _ = np.linalg.svd(np.hstack(columns), full_matrices=False)
+    rank = int(np.count_nonzero(s > 1e-9 * s[0])) if s.size and s[0] > 0 else 0
+    assert rank == 0 or s[rank - 1] > 1e-6 * s[0]   # a clear gap: the span is well posed
+    assert rank == s.size or s[rank] < 1e-13 * s[0]
+    return u[:, :rank] @ np.conj(u[:, :rank]).T
+
+
+class TestFrontierGrowth:
+    """Each step images only the directions the step before added, and the step
+    that finds nothing new takes no QR."""
+
+    def test_each_direction_is_imaged_once_and_the_last_step_takes_no_qr(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        a, q = map_with_invariant_subspace(rng, 2, 2, 12, 5)
+        seed = q[:, :5] @ cmat(rng, 5, 1)
+        events = []
+        images, qr = MatrixLinearMap.images, scipy.linalg.lapack.zgeqp3   # the pivoted QR
+
+        def counted_images(self, v):
+            out = images(self, v)
+            events.append(("images", out.shape[1]))
+            return out
+
+        def counted_qr(m, *args, **kwargs):
+            events.append(("qr", m.shape[1]))
+            return qr(m, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixLinearMap, "images", counted_images)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgeqp3", counted_qr)
+        v = analysis.invariant_subspace(a, seed)
+        assert v.shape[1] == 5
+        assert sum(c for kind, c in events if kind == "images") == a.units * v.shape[1]
+        assert events[-1][0] == "images"   # the stabilizing step: images, then no QR
+        assert sum(1 for kind, _ in events if kind == "qr") == \
+            sum(1 for kind, _ in events if kind == "images")   # the seed's QR and one per growth
+
+    def test_nearly_dependent_images_stay_orthogonal_to_the_basis(self):
+        # A_1(E) e_1 = u and A_2(E) e_1 = u + 1e-6 v in a random unitary frame: the
+        # direction v comes from a difference of images, whose roundoff along e_1
+        # the cut's QR would magnify a millionfold
+        rng = np.random.default_rng(62)
+        frame = np.linalg.qr(cmat(rng, 6, 6))[0]
+        units = np.zeros((2, 6, 6), dtype=complex)
+        units[0, 1, 0] = units[1, 1, 0] = 1.0
+        units[1, 2, 0] = 1e-6
+        units = frame @ units @ np.conj(frame).T
+        a = MatrixLinearMap(units.reshape(2, 1, 1, 6, 6))
+        v = analysis.invariant_subspace(a, frame[:, :1])
+        assert v.shape[1] == 3
+        assert_allclose(np.conj(v).T @ v, np.eye(3), atol=1e-14)
+
+    @pytest.mark.parametrize("entry", [1e20, 1e200, 1e300])
+    def test_large_images_keep_the_seed(self, entry):
+        # the cut is relative to the images of the seed, never to its own
+        # directions, and the column norms survive squares that overflow
+        swap = np.array([[0, entry], [entry, 0]], dtype=complex)
+        a = MatrixLinearMap(swap.reshape(1, 1, 1, 2, 2))
+        v = analysis.invariant_subspace(a, np.array([[1.0], [0.0]]))
+        assert_allclose(np.abs(v), np.eye(2), atol=1e-15)
+
+    def test_images_that_overflow_raise(self):
+        a = MatrixLinearMap(np.full((1, 1, 1, 2, 2), 1.7e308, dtype=complex))
+        with pytest.raises(ValueError, match="^the images of a subspace overflow to "
+                                             "non-finite entries$"):
+            analysis.invariant_subspace(a, np.array([[1.0], [0.0]]))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 4, None])
+    def test_span_is_the_word_span(self, sparse, steps):
+        rng = np.random.default_rng(61 + (steps or 9) + 10 * sparse)
+        size = 9
+        for d, n, inner, seed_rank in ((2, 1, 6, 1), (1, 2, 7, 2), (2, 1, size, 2)):
+            a, q = map_with_invariant_subspace(rng, d, n, size, inner, sparse)
+            # three seed columns of rank seed_rank: rank-deficient seeds
+            seed = q[:, :inner] @ cmat(rng, inner, seed_rank) @ cmat(rng, seed_rank, 3)
+            v = analysis.invariant_subspace(a, seed, steps)
+            assert_allclose(np.conj(v).T @ v, np.eye(v.shape[1]), atol=1e-12)
+            # the span stops growing within ``inner`` steps: it lies in Ran Q[:, :inner]
+            want = word_span_projector(a, seed, inner if steps is None else steps)
+            assert_allclose(v @ np.conj(v).T, want, atol=1e-10)
 
 
 class TestIsMinimal:
@@ -326,9 +437,15 @@ class TestTranslate:
             checks += 1
 
 
-def lac_oracle(r):
+def hypot_norm(x):
+    """Frobenius norm by a hypot reduction, which never squares an entry."""
+    return float(np.hypot.reduce(np.abs(x), axis=None))
+
+
+def lac_oracle(r, norm=np.linalg.norm):
     """Largest Frobenius residual of the four Lost-Abbey conditions, each
-    written out literally through MatrixLinearMap.apply on explicit units."""
+    written out literally through MatrixLinearMap.apply on explicit units
+    and measured by ``norm``."""
     bstar, c = np.conj(r.b).T, r.c
     letters = range(1, r.d + 1)
     units = list(matrix_units(r.n).reshape(-1, r.n, r.n))
@@ -348,7 +465,7 @@ def lac_oracle(r):
                     for g in units:
                         res.append(a(i, g @ t) @ a(j, h) - a(i, g) @ a(j, t @ h)
                                    - a(i, g) @ k @ a(j, h))
-        worst = max(worst, max(float(np.linalg.norm(x)) for x in res))
+        worst = max(worst, max(float(norm(x)) for x in res))
     return worst
 
 
@@ -360,6 +477,25 @@ class TestLostAbbey:
             r = random_descriptor(rng, n, big_n, d, scale=0.5)
             want = lac_oracle(r)
             assert abs(llac_residual(r) - want) <= 1e-12 * max(1.0, want)
+
+    def test_representable_residual_survives_squares_that_overflow(self):
+        # entries past about 1.3e154 overflow when squared; the oracle's norm
+        # there is hypot_norm
+        r = random_descriptor(np.random.default_rng(5), 2, 3, 2)
+
+        def residual(scale):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # no RuntimeWarning escapes
+                return llac_residual(DescriptorRealization(r.A.scaled(scale), r.b, r.c, r.Y))
+
+        assert residual(1e50) == pytest.approx(8.862172785049509e+150, rel=1e-12)
+        for scale in (1e55, 1e100):
+            got = residual(scale)
+            assert np.isfinite(got)
+            scaled = DescriptorRealization(r.A.scaled(scale), r.b, r.c, r.Y)
+            assert got == pytest.approx(lac_oracle(scaled, hypot_norm), rel=1e-12)
+        with pytest.raises(ValueError, match="residual overflows to non-finite entries"):
+            residual(1e150)
 
     def test_empty_state_space_gives_zero(self):
         rng = np.random.default_rng(41)

@@ -6,15 +6,18 @@ refuses a file whose depth bound exceeds MAX_JSON_DEPTH; the bound must
 never read below the true depth, and it may read one above it.  The two
 facts about orjson that make this enough are pinned here in child
 processes, so that an orjson upgrade that breaks either fails these tests
-instead of crashing a command.
+instead of crashing a command.  load_json pauses the cyclic collector while
+it reads and decodes, and gives it back as it found it.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import orjson
 import pytest
 from hypothesis import given, settings
@@ -112,3 +115,66 @@ def test_json_at_the_limit_loads_in_a_small_thread_stack(tmp_path):
     """, path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+@pytest.fixture
+def large_realization_file(tmp_path):
+    """A descriptor realization file of at least 100 KB: tens of thousands of lists."""
+    from conftest import random_descriptor
+
+    from ncreal.realization import save_realization
+
+    path = tmp_path / "large.json"
+    save_realization(random_descriptor(np.random.default_rng(0), 2, 20, 2), path)
+    assert path.stat().st_size >= 100_000
+    return path
+
+
+@pytest.fixture
+def collections():
+    """The generations of the cyclic collector's passes, as gc.callbacks sees them."""
+    seen = []
+
+    def count(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(count)
+    yield seen
+    gc.callbacks.remove(count)
+
+
+def test_load_takes_no_collector_pass(large_realization_file, collections):
+    from ncreal.realization import load_realization
+
+    assert gc.isenabled()
+    for _ in range(3):
+        load_realization(large_realization_file)
+    assert collections == []
+    assert gc.isenabled()
+
+
+def test_collector_is_enabled_again_after_a_failed_load(tmp_path, large_realization_file):
+    from ncreal.realization import load_realization
+
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(large_realization_file.read_bytes().replace(b'"kind":"descriptor"',
+                                                                  b'"kind":"other"'))
+    with pytest.raises(ValueError, match="^%s: " % bad):
+        load_realization(bad)
+    assert gc.isenabled()
+    bad.write_bytes(b'{"kind": ')
+    with pytest.raises(ValueError, match="^%s: " % bad):
+        load_realization(bad)
+    assert gc.isenabled()
+
+
+def test_collector_stays_disabled_when_the_caller_disabled_it(large_realization_file):
+    from ncreal.realization import load_realization
+
+    gc.disable()
+    try:
+        load_realization(large_realization_file)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -728,6 +728,23 @@ class TestTransferFM:
             b = transfer(desc, x)
             assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
+    def test_value_that_overflows_is_refused(self):
+        # the pencil is I and certified at X = 1e10, but B(H) = 1e310 overflows:
+        # no caller gets an inf or a NaN inside the domain
+        from ncreal.algebra import coordinate_fm
+
+        zero = CentrePoint([np.zeros((1, 1))])
+        fm = coordinate_fm(1, zero)
+        r = FMRealization(fm.A, fm.B.scaled(1e300), fm.C, fm.D, zero)
+        x = CentrePoint([np.array([[1e10]])])
+        with np.errstate(all="ignore"):
+            for call in (evaluate, transfer_fm):
+                with pytest.raises(ValueError, match="^the value at X overflows to non-finite "
+                                                     "entries$"):
+                    call(r, x)
+        big = FMRealization(fm.A, fm.B.scaled(1e290), fm.C, fm.D, zero)
+        assert transfer_fm(big, x)[0, 0] == pytest.approx(1e300)
+
 
 class TestMoment:
     def test_empty_word(self):
